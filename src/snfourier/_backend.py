@@ -1,248 +1,18 @@
-"""Hot kernels, in matched numba and pure-numpy editions.
-
-SNFOURIER_BACKEND selects the edition: "numba" (default when numba imports),
-or "numpy" for the fallback. The flag only picks an implementation; both
-editions perform the same per-entry arithmetic, so results agree to the last
-ulp for the integer kernels and to rounding noise for the float ones.
-
-Kernels covered: batch Lehmer encode/decode, the adjacent-transposition digit
-replay, streaming construction of all irrep matrices in rank order, and direct
-group convolution.
+"""Hot kernels in numpy: batch Lehmer encoding, the adjacent-transposition
+digit replay, streaming construction of all irrep matrices in rank order, and
+direct group convolution, plus the cached rank-order tables they share.
 """
 
+import importlib.util
 import itertools
 import math
-import os
 from functools import lru_cache
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-_FLAG = os.environ.get("SNFOURIER_BACKEND", "auto").strip().lower()
-if _FLAG not in ("auto", "numba", "numpy"):
-    raise ValueError(f"SNFOURIER_BACKEND must be auto|numba|numpy, got {_FLAG!r}")
-USE_NUMBA = HAS_NUMBA and _FLAG != "numpy"
-ACTIVE_BACKEND = "numba" if USE_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# numpy editions
-
-
-def _encode_batch_np(one_lines):
-    m, n = one_lines.shape
-    out = np.zeros((m, n), dtype=np.int64)
-    for i in range(n - 1):
-        out[:, i] = np.sum(one_lines[:, i + 1:] < one_lines[:, i : i + 1], axis=1)
-    return out
-
-
-def _decode_batch_np(one_based_digits):
-    digits = one_based_digits
-    m, n = digits.shape
-    out = np.empty((m, n), dtype=np.int64)
-    avail = np.ones((m, n), dtype=bool)
-    rows = np.arange(m)
-    for i in range(n):
-        cum = np.cumsum(avail, axis=1)
-        pick = np.argmax((cum == digits[:, i : i + 1] + 1) & avail, axis=1)
-        out[:, i] = pick + 1
-        avail[rows, pick] = False
-    return out
-
-
-def _apply_swaps_np(digits, seq):
-    out = digits.copy()
-    for k in seq:
-        a = out[:, k - 1].copy()
-        b = out[:, k]
-        gt = a > b
-        out[:, k - 1] = np.where(gt, b, b + 1)
-        out[:, k] = np.where(gt, a - 1, a)
-    return out
-
-
-def _irrep_stack_np(seq, diag, offd, partner, weights):
-    steps = seq.shape[0]
-    d = diag.shape[1]
-    n = weights.shape[0]
-    out = np.empty((steps + 1, d, d))
-    mat = np.eye(d)
-    dig = np.zeros(n, dtype=np.int64)
-    rank = 0
-    out[0] = mat
-    for s in range(steps):
-        k = int(seq[s])
-        g = k - 1
-        mat = mat * diag[g][None, :] + mat[:, partner[g]] * offd[g][None, :]
-        a, b = int(dig[k - 1]), int(dig[k])
-        if a > b:
-            na, nb = b, a - 1
-        else:
-            na, nb = b + 1, a
-        rank += (na - a) * int(weights[k - 1]) + (nb - b) * int(weights[k])
-        dig[k - 1], dig[k] = na, nb
-        out[rank] = mat
-    return out
-
-
-def _convolve_np(q, h, perms0, inv0, weights):
-    m, n = perms0.shape
-    out = np.empty(m)
-    for s in range(m):
-        rows = perms0[s][inv0]
-        ranks = np.zeros(m, dtype=np.int64)
-        for i in range(n - 1):
-            ranks += weights[i] * np.sum(rows[:, i + 1:] < rows[:, i : i + 1], axis=1)
-        out[s] = float(np.dot(q[ranks], h))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numba editions (same arithmetic, explicit loops)
-
-
-@njit(cache=False)
-def _encode_batch_nb(one_lines):  # pragma: no cover - numba path
-    m, n = one_lines.shape
-    out = np.zeros((m, n), dtype=np.int64)
-    for r in range(m):
-        for i in range(n - 1):
-            c = 0
-            for j in range(i + 1, n):
-                if one_lines[r, j] < one_lines[r, i]:
-                    c += 1
-            out[r, i] = c
-    return out
-
-
-@njit(cache=False)
-def _decode_batch_nb(digits):  # pragma: no cover - numba path
-    m, n = digits.shape
-    out = np.empty((m, n), dtype=np.int64)
-    for r in range(m):
-        avail = np.arange(1, n + 1)
-        size = n
-        for i in range(n):
-            d = digits[r, i]
-            out[r, i] = avail[d]
-            for t in range(d, size - 1):
-                avail[t] = avail[t + 1]
-            size -= 1
-    return out
-
-
-@njit(cache=False)
-def _apply_swaps_nb(digits, seq):  # pragma: no cover - numba path
-    m = digits.shape[0]
-    out = digits.copy()
-    for r in range(m):
-        for s in range(seq.shape[0]):
-            k = seq[s]
-            a = out[r, k - 1]
-            b = out[r, k]
-            if a > b:
-                out[r, k - 1] = b
-                out[r, k] = a - 1
-            else:
-                out[r, k - 1] = b + 1
-                out[r, k] = a
-    return out
-
-
-@njit(cache=False)
-def _irrep_stack_nb(seq, diag, offd, partner, weights):  # pragma: no cover
-    steps = seq.shape[0]
-    d = diag.shape[1]
-    n = weights.shape[0]
-    out = np.empty((steps + 1, d, d))
-    mat = np.eye(d)
-    new = np.empty((d, d))
-    dig = np.zeros(n, dtype=np.int64)
-    rank = 0
-    for i in range(d):
-        for t in range(d):
-            out[0, i, t] = mat[i, t]
-    for s in range(steps):
-        k = seq[s]
-        g = k - 1
-        for i in range(d):
-            for t in range(d):
-                new[i, t] = mat[i, t] * diag[g, t] + mat[i, partner[g, t]] * offd[g, t]
-        tmp = mat
-        mat = new
-        new = tmp
-        a = dig[k - 1]
-        b = dig[k]
-        if a > b:
-            na, nb = b, a - 1
-        else:
-            na, nb = b + 1, a
-        rank += (na - a) * weights[k - 1] + (nb - b) * weights[k]
-        dig[k - 1] = na
-        dig[k] = nb
-        for i in range(d):
-            for t in range(d):
-                out[rank, i, t] = mat[i, t]
-    return out
-
-
-@njit(cache=False)
-def _convolve_nb(q, h, perms0, inv0, weights):  # pragma: no cover - numba path
-    m, n = perms0.shape
-    out = np.empty(m)
-    for s in range(m):
-        acc = 0.0
-        for t in range(m):
-            rank = 0
-            for i in range(n - 1):
-                vi = perms0[s, inv0[t, i]]
-                c = 0
-                for j in range(i + 1, n):
-                    if perms0[s, inv0[t, j]] < vi:
-                        c += 1
-                rank += weights[i] * c
-            acc += q[rank] * h[t]
-        out[s] = acc
-    return out
-
-
-IMPL_NUMPY = {
-    "encode_batch": _encode_batch_np,
-    "decode_batch": _decode_batch_np,
-    "apply_swaps": _apply_swaps_np,
-    "irrep_stack": _irrep_stack_np,
-    "convolve": _convolve_np,
-}
-
-IMPL_NUMBA = {
-    "encode_batch": _encode_batch_nb,
-    "decode_batch": _decode_batch_nb,
-    "apply_swaps": _apply_swaps_nb,
-    "irrep_stack": _irrep_stack_nb,
-    "convolve": _convolve_nb,
-}
-
-_IMPL = IMPL_NUMBA if USE_NUMBA else IMPL_NUMPY
-
-
-# ---------------------------------------------------------------------------
-# shared tables and dispatching wrappers
+# perfbench stamps its results with both names, so they stay.
+ACTIVE_BACKEND = "numpy"
+HAS_NUMBA = importlib.util.find_spec("numba") is not None
 
 
 @lru_cache(maxsize=None)
@@ -297,12 +67,9 @@ def all_digits(n):
 @lru_cache(maxsize=None)
 def all_perms0(n):
     """One-line forms (0-based values) of all ranks, rank order = lex order."""
-    if USE_NUMBA:
-        out = _decode_batch_nb(np.asarray(all_digits(n))) - 1
-    else:
-        out = np.array(
-            list(itertools.permutations(range(n))), dtype=np.int64
-        ).reshape(math.factorial(n), n)
+    out = np.array(
+        list(itertools.permutations(range(n))), dtype=np.int64
+    ).reshape(math.factorial(n), n)
     out.flags.writeable = False
     return out
 
@@ -317,24 +84,25 @@ def all_inverses0(n):
 
 
 def encode_batch(one_lines):
-    """Lehmer digits for a batch of 1-based one-line rows."""
+    """Lehmer digits for a batch of one-line rows (only their order matters)."""
     arr = np.ascontiguousarray(one_lines, dtype=np.int64)
-    return _IMPL["encode_batch"](arr)
-
-
-def decode_batch(digits):
-    """1-based one-line rows for a batch of Lehmer digit rows."""
-    arr = np.ascontiguousarray(digits, dtype=np.int64)
-    return _IMPL["decode_batch"](arr)
+    m, n = arr.shape
+    out = np.zeros((m, n), dtype=np.int64)
+    for i in range(n - 1):
+        out[:, i] = np.sum(arr[:, i + 1:] < arr[:, i : i + 1], axis=1)
+    return out
 
 
 def apply_swaps(digits, seq):
     """Replay a 1-based adjacent-swap sequence on each digit row."""
-    arr = np.ascontiguousarray(digits, dtype=np.int64)
-    s = np.ascontiguousarray(seq, dtype=np.int64)
-    if s.size == 0:
-        return arr.copy()
-    return _IMPL["apply_swaps"](arr, s)
+    out = np.array(digits, dtype=np.int64)
+    for k in np.asarray(seq, dtype=np.int64):
+        a = out[:, k - 1].copy()
+        b = out[:, k]
+        gt = a > b
+        out[:, k - 1] = np.where(gt, b, b + 1)
+        out[:, k] = np.where(gt, a - 1, a)
+    return out
 
 
 def irrep_stack_from_generators(n, diag, offd, partner):
@@ -342,24 +110,39 @@ def irrep_stack_from_generators(n, diag, offd, partner):
 
     diag/offd/partner describe the n-1 sparse generator matrices: column t of
     rho(tau_k) holds diag[k-1, t] at row t and offd[k-1, t] at row
-    partner[k-1, t] (zero when partner == t).
+    partner[k-1, t] (zero when partner == t). The matrices are built by
+    walking the plain-changes order, one sparse generator product per step.
     """
-    seq = swap_sequence(n)
-    return _IMPL["irrep_stack"](
-        np.asarray(seq),
-        np.ascontiguousarray(diag, dtype=np.float64),
-        np.ascontiguousarray(offd, dtype=np.float64),
-        np.ascontiguousarray(partner, dtype=np.int64),
-        np.asarray(factorial_weights(n)),
-    )
+    diag = np.asarray(diag, dtype=np.float64)
+    offd = np.asarray(offd, dtype=np.float64)
+    partner = np.asarray(partner, dtype=np.int64)
+    weights = factorial_weights(n).tolist()
+    d = diag.shape[1]
+    out = np.empty((math.factorial(n), d, d))
+    mat = np.eye(d)
+    dig = [0] * n
+    rank = 0
+    out[0] = mat
+    for k in swap_sequence(n).tolist():
+        g = k - 1
+        mat = mat * diag[g][None, :] + mat[:, partner[g]] * offd[g][None, :]
+        a, b = dig[g], dig[k]
+        na, nb = (b, a - 1) if a > b else (b + 1, a)
+        rank += (na - a) * weights[g] + (nb - b) * weights[k]
+        dig[g], dig[k] = na, nb
+        out[rank] = mat
+    return out
 
 
 def convolve_direct(q, h, n):
     """Direct-space group convolution (q * h)(sigma) = sum q(sigma tau^-1) h(tau)."""
-    return _IMPL["convolve"](
-        np.ascontiguousarray(q, dtype=np.float64),
-        np.ascontiguousarray(h, dtype=np.float64),
-        np.asarray(all_perms0(n)),
-        np.asarray(all_inverses0(n)),
-        np.asarray(factorial_weights(n)),
-    )
+    q = np.ascontiguousarray(q, dtype=np.float64)
+    h = np.ascontiguousarray(h, dtype=np.float64)
+    perms0 = all_perms0(n)
+    inv0 = all_inverses0(n)
+    weights = factorial_weights(n)
+    out = np.empty(perms0.shape[0])
+    for s in range(perms0.shape[0]):
+        ranks = encode_batch(perms0[s][inv0]) @ weights
+        out[s] = float(np.dot(q[ranks], h))
+    return out

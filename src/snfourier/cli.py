@@ -1,9 +1,10 @@
 """Command-line front end: run | verify | spectrum | sample.
 
 Exit codes are part of the contract: 0 success, 1 verify-battery failure,
-2 input/validation problems, 3 degree-guard violations, 4 an annihilated
-state. Errors print a single line to stderr. Identical invocations with
-identical seeds produce byte-identical output files.
+2 input/validation problems, 3 degree-guard violations or an allocation that
+ran out of memory, 4 an annihilated state. Errors print a single line to
+stderr. Identical invocations with identical seeds produce byte-identical
+output files.
 """
 
 from __future__ import annotations
@@ -173,6 +174,10 @@ def main(argv=None) -> int:
         return 2
     except DegreeGuardError as err:
         print(f"error: {err}", file=sys.stderr)
+        return 3
+    except MemoryError as err:
+        # numpy's message names the allocation: size, shape and dtype
+        print(f"error: out of memory: {str(err) or 'allocation failed'}", file=sys.stderr)
         return 3
     except AnnihilatedStateError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -21,15 +21,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AnnihilatedStateError
+from .errors import ANNIHILATION_TOL, ENCODINGS, UNIT_NORM_TOL, AnnihilatedStateError
 from .perms import Permutation, all_lehmer_digits, all_one_lines, \
     ranks_after_sequence, reorder_sequence
 from .transform import function_degree
-
-ENCODINGS = ("amplitude", "born")
-
-_UNIT_NORM_TOL = 1e-8
-ANNIHILATION_TOL = 1e-24
 
 
 @dataclass(frozen=True)
@@ -108,7 +103,7 @@ def _checked_state(state, encoding: str) -> tuple[np.ndarray, int]:
         raise ValueError(f"encoding must be amplitude|born, got {encoding!r}")
     values = np.asarray(state, dtype=np.float64)
     n = function_degree(values)
-    if abs(np.sum(values * values) - 1.0) > _UNIT_NORM_TOL:
+    if abs(np.sum(values * values) - 1.0) > UNIT_NORM_TOL:
         raise ValueError("state must be a unit vector")
     return values, n
 
@@ -133,7 +128,7 @@ def success_probability_conditioning(h, obs: Observation) -> float:
     values = np.asarray(h, dtype=np.float64)
     n = function_degree(values)
     obs.check_degree(n)
-    if abs(values.sum() - 1.0) > _UNIT_NORM_TOL or values.min() < -1e-12:
+    if abs(values.sum() - 1.0) > UNIT_NORM_TOL or values.min() < -1e-12:
         raise ValueError("h must be a normalized probability function")
     if obs.is_empty:
         return 1.0

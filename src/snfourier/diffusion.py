@@ -17,16 +17,12 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import AnnihilatedStateError
+from .errors import ANNIHILATION_TOL, UNIT_NORM_TOL, AnnihilatedStateError
 from .partitions import diffusion_eigenvalue, enumerate_partitions
 from .perms import Permutation, lehmer_encode, lehmer_rank
 from .transform import FourierSpectrum
 
 Probability = Union[float, Fraction, int]
-
-_UNIT_NORM_TOL = 1e-8
-# squared norms below this are float noise, not a survivable state
-ANNIHILATION_TOL = 1e-24
 
 
 @dataclass(frozen=True)
@@ -73,7 +69,7 @@ def _step_scales(kernel: DiffusionKernel) -> dict:
 def _require_unit_unitary(spectrum: FourierSpectrum, what: str):
     if spectrum.normalization != "unitary":
         raise ValueError(f"{what} expects a unitary-normalized spectrum")
-    if abs(spectrum.total_energy() - 1.0) > _UNIT_NORM_TOL:
+    if abs(spectrum.total_energy() - 1.0) > UNIT_NORM_TOL:
         raise ValueError(f"{what} expects the spectrum of a unit-norm state")
 
 

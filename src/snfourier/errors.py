@@ -1,6 +1,15 @@
-"""Shared exception types and the dense-storage degree guard."""
+"""Shared exception types, the tolerances and names their checks use, and the
+dense-storage degree guard."""
 
 DEFAULT_DEGREE_GUARD = 9
+
+ENCODINGS = ("amplitude", "born")
+
+# how far |norm^2 - 1| may stray for an input that must be a unit vector
+UNIT_NORM_TOL = 1e-8
+
+# squared norms below this are float noise, not a survivable state
+ANNIHILATION_TOL = 1e-24
 
 
 class SnfourierError(Exception):

@@ -24,14 +24,11 @@ import numpy as np
 from .conditioning import Observation, reorder_update_condition
 from .diffusion import DiffusionKernel, apply_diffusion_born, \
     apply_diffusion_spectral, success_probability_lower_bound
-from .errors import AnnihilatedStateError, check_degree
+from .errors import ANNIHILATION_TOL, ENCODINGS, UNIT_NORM_TOL, AnnihilatedStateError, \
+    check_degree
 from .partitions import Partition, enumerate_partitions
 from .perms import Permutation, all_one_lines, lehmer_encode, lehmer_rank
 from .transform import function_degree, gft_forward, gft_inverse
-
-ENCODINGS = ("amplitude", "born")
-
-ANNIHILATION_TOL = 1e-24
 
 
 @dataclass
@@ -49,7 +46,7 @@ class ModelState:
         if self.encoding not in ENCODINGS:
             raise ValueError(f"encoding must be amplitude|born, got {self.encoding!r}")
         norm_sq = float(np.sum(self.amplitudes * self.amplitudes))
-        if abs(norm_sq - 1.0) > 1e-8:
+        if abs(norm_sq - 1.0) > UNIT_NORM_TOL:
             raise ValueError("amplitudes must form a unit vector")
 
     @property
@@ -333,7 +330,7 @@ def state_prep_unitary(psi) -> np.ndarray:
     """Householder reflection carrying the rank-0 basis vector onto psi."""
     target = np.asarray(psi, dtype=np.float64)
     function_degree(target)
-    if abs(float(np.sum(target * target)) - 1.0) > 1e-8:
+    if abs(float(np.sum(target * target)) - 1.0) > UNIT_NORM_TOL:
         raise ValueError("psi must be a unit vector")
     diff = target.copy()
     diff[0] -= 1.0

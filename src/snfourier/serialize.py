@@ -16,11 +16,10 @@ from fractions import Fraction
 import numpy as np
 
 from .conditioning import Observation
-from .errors import PlanValidationError
+from .errors import ENCODINGS, PlanValidationError
 from .partitions import Partition, enumerate_partitions
 from .perms import all_one_lines
 from .pipeline import (
-    ENCODINGS,
     ConditioningStep,
     DiffusionStep,
     EmpiricalInitial,

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from snfourier import cli
 from snfourier.cli import main
 from snfourier.partitions import irrep_dimension
 from snfourier.serialize import function_to_csv
@@ -56,6 +57,20 @@ def test_run_is_byte_reproducible(tmp_path):
         outs.append(out)
     for name in ("posterior.csv", "spectrum.json", "ledger.jsonl", "report.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_run_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
+    message = "Unable to allocate 1.23 GiB for an array with shape (40320, 64, 64)"
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "gft_forward", exhausted)
+    plan = tmp_path / "plan.json"
+    plan.write_text(PLAN_N3)
+    assert run_cli("run", "--plan", str(plan), "--out", str(tmp_path / "out")) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: out of memory: {message}\n"
 
 
 def test_run_parse_error_names_field(tmp_path, capsys):
