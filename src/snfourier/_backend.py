@@ -1,6 +1,6 @@
 """Hot kernels in numpy: batch Lehmer encoding, the adjacent-transposition
-digit replay, streaming construction of all irrep matrices in rank order, and
-direct group convolution, plus the cached rank-order tables they share.
+digit replay and direct group convolution, plus the cached rank-order tables
+they share.
 """
 
 import importlib.util
@@ -23,6 +23,7 @@ def factorial_weights(n):
     return w
 
 
+# no library code calls this; perfbench/spans.py patches it by name
 @lru_cache(maxsize=None)
 def swap_sequence(n):
     """Plain-changes order of S_n: 1-based swap slots visiting all n! perms.
@@ -102,35 +103,6 @@ def apply_swaps(digits, seq):
         gt = a > b
         out[:, k - 1] = np.where(gt, b, b + 1)
         out[:, k] = np.where(gt, a - 1, a)
-    return out
-
-
-def irrep_stack_from_generators(n, diag, offd, partner):
-    """All irrep matrices of one irrep, shape (n!, d, d), indexed by rank.
-
-    diag/offd/partner describe the n-1 sparse generator matrices: column t of
-    rho(tau_k) holds diag[k-1, t] at row t and offd[k-1, t] at row
-    partner[k-1, t] (zero when partner == t). The matrices are built by
-    walking the plain-changes order, one sparse generator product per step.
-    """
-    diag = np.asarray(diag, dtype=np.float64)
-    offd = np.asarray(offd, dtype=np.float64)
-    partner = np.asarray(partner, dtype=np.int64)
-    weights = factorial_weights(n).tolist()
-    d = diag.shape[1]
-    out = np.empty((math.factorial(n), d, d))
-    mat = np.eye(d)
-    dig = [0] * n
-    rank = 0
-    out[0] = mat
-    for k in swap_sequence(n).tolist():
-        g = k - 1
-        mat = mat * diag[g][None, :] + mat[:, partner[g]] * offd[g][None, :]
-        a, b = dig[g], dig[k]
-        na, nb = (b, a - 1) if a > b else (b + 1, a)
-        rank += (na - a) * weights[g] + (nb - b) * weights[k]
-        dig[g], dig[k] = na, nb
-        out[rank] = mat
     return out
 
 

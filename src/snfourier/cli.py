@@ -71,7 +71,10 @@ def _cmd_spectrum(args) -> int:
     n = function_degree(values)
     check_degree(n, args.n_guard)
     spectrum = gft_forward(values, args.normalization)
-    energies = gft_forward(values, "unitary").energies()
+    if args.normalization == "unitary":
+        energies = spectrum.energies()
+    else:
+        energies = gft_forward(values, "unitary").energies()
     total = sum(energies.values())
     if total <= 0:
         raise ValueError("the zero function has no sampling distribution")

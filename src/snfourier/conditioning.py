@@ -205,8 +205,6 @@ def reorder_update_condition(
     if p_s <= ANNIHILATION_TOL:
         raise AnnihilatedStateError("conditioning left no posterior support")
     scaled /= math.sqrt(p_s)
-
-    backward = ranks_after_sequence(n, seq[::-1])
-    out = np.empty_like(values)
-    out[backward] = scaled
-    return out, p_s, CostReport(window, len(seq), len(seq), width)
+    # relabeling back inverts the scatter through `forward`, so it is a gather;
+    # inverse_swaps counts the swaps a circuit spends to uncompute the relabel
+    return scaled[forward], p_s, CostReport(window, len(seq), len(seq), width)

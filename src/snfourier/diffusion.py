@@ -66,11 +66,11 @@ def _step_scales(kernel: DiffusionKernel) -> dict:
     }
 
 
-def _require_unit_unitary(spectrum: FourierSpectrum, what: str):
+def _require_unit_unitary(spectrum: FourierSpectrum):
     if spectrum.normalization != "unitary":
-        raise ValueError(f"{what} expects a unitary-normalized spectrum")
+        raise ValueError("diffusion expects a unitary-normalized spectrum")
     if abs(spectrum.total_energy() - 1.0) > UNIT_NORM_TOL:
-        raise ValueError(f"{what} expects the spectrum of a unit-norm state")
+        raise ValueError("diffusion expects the spectrum of a unit-norm state")
 
 
 def apply_diffusion_spectral(
@@ -83,7 +83,7 @@ def apply_diffusion_spectral(
     """
     if kernel.n != spectrum.n:
         raise ValueError("kernel degree and spectrum degree differ")
-    _require_unit_unitary(spectrum, "apply_diffusion_spectral")
+    _require_unit_unitary(spectrum)
     scales = _step_scales(kernel)
     p_s = sum(
         scales[lam] ** 2 * e for lam, e in spectrum.energies().items()
@@ -106,20 +106,8 @@ def apply_diffusion_born(
     the norm of the scaled state, which matches the direct-space norm of the
     convolved amplitudes.
     """
-    if kernel.n != spectrum.n:
-        raise ValueError("kernel degree and spectrum degree differ")
-    _require_unit_unitary(spectrum, "apply_diffusion_born")
-    scales = _step_scales(kernel)
-    squared = sum(
-        scales[lam] ** 2 * e for lam, e in spectrum.energies().items()
-    )
-    if squared <= ANNIHILATION_TOL:
-        raise AnnihilatedStateError("diffusion annihilated the entire state")
-    renorm = math.sqrt(squared)
-    blocks = {
-        lam: (scales[lam] / renorm) * block for lam, block in spectrum.blocks.items()
-    }
-    return FourierSpectrum(spectrum.n, "unitary", blocks), renorm
+    out, p_s = apply_diffusion_spectral(spectrum, kernel)
+    return out, math.sqrt(p_s)
 
 
 def success_probability_t0(n: int, p: Probability) -> float:

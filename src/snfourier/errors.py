@@ -33,8 +33,11 @@ class AnnihilatedStateError(SnfourierError):
 
 
 def check_degree(n: int, guard: int | None = None) -> int:
-    """Validate a degree against the dense n!-storage guard."""
-    limit = DEFAULT_DEGREE_GUARD if guard is None else guard
+    """Validate a degree against the dense n!-storage guard.
+
+    A given guard can only tighten the default, never loosen it.
+    """
+    limit = DEFAULT_DEGREE_GUARD if guard is None else min(guard, DEFAULT_DEGREE_GUARD)
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")
     if n > limit:

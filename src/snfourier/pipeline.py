@@ -317,7 +317,8 @@ def sample_fourier(
     """
     spectrum = gft_forward(state.amplitudes, "unitary")
     lams = enumerate_partitions(state.n)
-    weights = np.array([spectrum.energies()[lam] for lam in lams])
+    energies = spectrum.energies()
+    weights = np.array([energies[lam] for lam in lams])
     weights = np.maximum(weights, 0.0)
     weights /= weights.sum()
     rng = np.random.default_rng(seed)

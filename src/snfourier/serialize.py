@@ -188,24 +188,6 @@ def observation_to_dict(obs: Observation) -> dict:
     return {"kind": "ranking", "items": list(obs.items), "s": float(obs.s)}
 
 
-def observation_from_dict(doc) -> Observation:
-    if not isinstance(doc, dict):
-        raise ValueError("observation must be a JSON object")
-    kind = doc.get("kind")
-    if kind == "assignment":
-        return Observation(
-            kind=kind,
-            s=float(doc.get("s", 1.0)),
-            indices=tuple(doc.get("indices", ())),
-            values=tuple(doc.get("values", ())),
-        )
-    if kind == "ranking":
-        return Observation(
-            kind=kind, s=float(doc.get("s", 1.0)), items=tuple(doc.get("items", ()))
-        )
-    raise ValueError(f"kind must be assignment|ranking, got {kind!r}")
-
-
 def plan_to_json(plan: ExperimentPlan) -> str:
     steps = []
     for step in plan.steps:

@@ -14,9 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _backend
-from .partitions import Partition, irrep_dimension
-from .perms import Permutation, lehmer_encode, lehmer_rank
+from .partitions import Partition
+from .perms import Permutation
 
 Tableau = tuple[tuple[int, ...], ...]
 
@@ -116,11 +115,26 @@ def irrep_stack(n: int, lam: Partition) -> np.ndarray:
     """All n! representation matrices, indexed by permutation rank.
 
     Shape (n!, d, d) with stack[r] the matrix of the rank-r permutation.
-    Cached read-only; one Gray-code sweep builds the whole stack.
+    Cached read-only. The permutation with Lehmer digits l_1..l_{n-1} is
+    F_1(l_1)...F_{n-1}(l_{n-1}) with F_i(l) = tau_{i+l-1}...tau_i, so the
+    stack grows one digit at a time, last digit first: the ranks whose digits
+    before slot i are zero hold n-i+1 blocks of (n-i)! matrices, and block l
+    is rho(tau_{i+l-1}) applied on the left of block l-1. Every matrix is a
+    product of at most C(n,2) sparse generators.
     """
     if lam.weight != n:
         raise ValueError("partition weight must equal n")
     diag, offd, partner = _generator_data(lam)
-    stack = _backend.irrep_stack_from_generators(n, diag, offd, partner)
+    d = diag.shape[1]
+    stack = np.empty((math.factorial(n), d, d))
+    stack[0] = np.eye(d)
+    for i in range(n - 1, 0, -1):
+        size = math.factorial(n - i)
+        for l in range(1, n - i + 1):
+            g = i + l - 2  # generator row of tau_{i+l-1}
+            prev = stack[(l - 1) * size : l * size]
+            block = stack[l * size : (l + 1) * size]
+            np.multiply(diag[g][:, None], prev, out=block)
+            block += offd[g][:, None] * prev[:, partner[g]]
     stack.setflags(write=False)
     return stack

@@ -7,9 +7,6 @@ import pytest
 
 import oracles
 from snfourier import _backend
-from snfourier.partitions import enumerate_partitions
-from snfourier.perms import Permutation
-from snfourier.yor import _generator_data, irrep_of
 
 RNG = np.random.default_rng(41)
 
@@ -54,15 +51,6 @@ def test_apply_swaps_matches_slot_replay(n):
             expected.append(oracles.inversion_digits(moved))
         got = _backend.apply_swaps(digits, np.array(seq, dtype=np.int64))
         assert np.array_equal(got, np.array(expected))
-
-
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_irrep_stack_matches_irrep_of(n):
-    for lam in enumerate_partitions(n):
-        stack = _backend.irrep_stack_from_generators(n, *_generator_data(lam))
-        for rank, line in enumerate(oracles.all_perms_lex(n)):
-            expected = irrep_of(lam, Permutation(line))
-            assert np.allclose(stack[rank], expected, atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -10,6 +10,7 @@ from snfourier import cli
 from snfourier.cli import main
 from snfourier.partitions import irrep_dimension
 from snfourier.serialize import function_to_csv
+from snfourier.transform import gft_forward
 
 PLAN_N3 = """
 {
@@ -161,6 +162,27 @@ def test_spectrum_delta_energies(tmp_path):
     assert energies["[1,1,1]"] == pytest.approx(1 / 6, abs=1e-12)
     doc = json.loads((out / "spectrum.json").read_text())
     assert doc["normalization"] == "unitary"
+
+
+def test_spectrum_transforms_once_when_unitary(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return gft_forward(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "gft_forward", counted)
+    csv_path = tmp_path / "h.csv"
+    csv_path.write_text(function_to_csv(np.random.default_rng(5).standard_normal(24)))
+    energies = {}
+    for normalization, expected_calls in (("unitary", 1), ("plain", 2)):
+        calls.clear()
+        out = tmp_path / normalization
+        assert run_cli("spectrum", "--input", str(csv_path), "--out", str(out),
+                       "--normalization", normalization) == 0
+        assert len(calls) == expected_calls
+        energies[normalization] = (out / "energies.json").read_bytes()
+    assert energies["unitary"] == energies["plain"]
 
 
 def test_spectrum_uniform_concentrates(tmp_path):

@@ -22,7 +22,6 @@ from snfourier.serialize import (
     function_from_csv,
     function_to_csv,
     ledger_to_jsonl,
-    observation_from_dict,
     observation_to_dict,
     plan_from_json,
     plan_to_json,
@@ -173,15 +172,12 @@ def test_report_json_null_bound():
 
 
 def test_observation_dict_forms():
+    obs = Observation(kind="assignment", indices=(1, 4), values=(2, 3), s=1.0)
     doc = {"kind": "assignment", "indices": [1, 4], "values": [2, 3], "s": 1.0}
-    obs = observation_from_dict(doc)
-    assert obs.indices == (1, 4) and obs.values == (2, 3) and obs.s == 1.0
     assert observation_to_dict(obs) == doc
 
-    doc = {"kind": "ranking", "items": [2, 5, 1], "s": 0.9}
-    obs = observation_from_dict(doc)
-    assert obs.items == (2, 5, 1) and obs.s == 0.9
-    assert observation_to_dict(obs) == doc
+    obs = Observation(kind="ranking", items=(2, 5, 1), s=0.9)
+    assert observation_to_dict(obs) == {"kind": "ranking", "items": [2, 5, 1], "s": 0.9}
 
 
 def test_plan_json_round_trip():
@@ -190,6 +186,9 @@ def test_plan_json_round_trip():
         steps=(
             DiffusionStep(p=0.6, d=2),
             ConditioningStep(Observation(kind="ranking", items=(2, 3), s=0.8)),
+            ConditioningStep(
+                Observation(kind="assignment", indices=(1, 4), values=(2, 3), s=0.9)
+            ),
         ),
         encoding="born",
         initial=EmpiricalInitial(entries=(((2, 1, 3, 4), 2), ((1, 2, 3, 4), 1))),

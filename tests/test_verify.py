@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from snfourier.errors import DegreeGuardError
+from snfourier.errors import DegreeGuardError, check_degree
 from snfourier.verify import format_table, run_battery
 
 
@@ -34,3 +34,12 @@ def test_battery_guard():
         run_battery(5, guard=4)
     with pytest.raises(ValueError):
         run_battery(1)
+
+
+def test_guard_only_tightens():
+    # a guard above the default must not admit degrees the default rejects
+    with pytest.raises(DegreeGuardError):
+        check_degree(10, guard=12)
+    assert check_degree(9, guard=12) == 9
+    with pytest.raises(DegreeGuardError):
+        check_degree(5, guard=4)

@@ -142,9 +142,18 @@ def test_irrep_stack_matches_irrep_of():
         for lam in enumerate_partitions(n):
             stack = irrep_stack(n, lam)
             assert stack.shape[0] == math.factorial(n)
-            for r in range(0, len(perms), 5):
-                direct = irrep_of(lam, Permutation(perms[r]))
-                assert np.allclose(stack[r], direct, atol=1e-11)
+            for r, line in enumerate(perms):
+                direct = irrep_of(lam, Permutation(line))
+                assert np.allclose(stack[r], direct, rtol=0, atol=1e-14)
+
+
+def test_irrep_stack_orthogonal_to_rounding_at_n6():
+    # each matrix is a product of at most C(n,2) generators, so rounding
+    # stays at a few ulps
+    for lam in enumerate_partitions(6):
+        stack = irrep_stack(6, lam)
+        gram = np.einsum("rij,rkj->rik", stack, stack)
+        assert np.max(np.abs(gram - np.eye(stack.shape[1]))) <= 1e-14
 
 
 def test_irrep_stack_readonly_and_cached():
