@@ -7,6 +7,9 @@ import pytest
 
 import oracles
 from snfourier import _backend
+from snfourier.partitions import enumerate_partitions
+from snfourier.perms import Permutation
+from snfourier.yor import irrep_of, irrep_stack
 
 RNG = np.random.default_rng(41)
 
@@ -51,6 +54,16 @@ def test_apply_swaps_matches_slot_replay(n):
             expected.append(oracles.inversion_digits(moved))
         got = _backend.apply_swaps(digits, np.array(seq, dtype=np.int64))
         assert np.array_equal(got, np.array(expected))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_irrep_stack_matches_irrep_of(n):
+    # the stack is indexed by the backend's ranks: row r of all_perms0
+    for lam in enumerate_partitions(n):
+        stack = irrep_stack(n, lam)
+        for rank, line0 in enumerate(_backend.all_perms0(n)):
+            expected = irrep_of(lam, Permutation(tuple(int(v) + 1 for v in line0)))
+            assert np.allclose(stack[rank], expected, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [3, 4])
