@@ -1,6 +1,5 @@
-"""Hot kernels in numpy: batch Lehmer encoding, the adjacent-transposition
-digit replay and direct group convolution, plus the cached rank-order tables
-they share.
+"""Hot kernels in numpy: batch ranking of one-line forms and direct group
+convolution, plus the cached rank-order tables they share.
 """
 
 import importlib.util
@@ -85,25 +84,14 @@ def all_inverses0(n):
 
 
 def encode_batch(one_lines):
-    """Lehmer digits for a batch of one-line rows (only their order matters)."""
+    """Ranks of a batch of one-line rows (only their order matters)."""
     arr = np.ascontiguousarray(one_lines, dtype=np.int64)
     m, n = arr.shape
-    out = np.zeros((m, n), dtype=np.int64)
+    weights = factorial_weights(n)
+    ranks = np.zeros(m, dtype=np.int64)
     for i in range(n - 1):
-        out[:, i] = np.sum(arr[:, i + 1:] < arr[:, i : i + 1], axis=1)
-    return out
-
-
-def apply_swaps(digits, seq):
-    """Replay a 1-based adjacent-swap sequence on each digit row."""
-    out = np.array(digits, dtype=np.int64)
-    for k in np.asarray(seq, dtype=np.int64):
-        a = out[:, k - 1].copy()
-        b = out[:, k]
-        gt = a > b
-        out[:, k - 1] = np.where(gt, b, b + 1)
-        out[:, k] = np.where(gt, a - 1, a)
-    return out
+        ranks += weights[i] * np.sum(arr[:, i + 1:] < arr[:, i : i + 1], axis=1)
+    return ranks
 
 
 def convolve_direct(q, h, n):
@@ -112,9 +100,7 @@ def convolve_direct(q, h, n):
     h = np.ascontiguousarray(h, dtype=np.float64)
     perms0 = all_perms0(n)
     inv0 = all_inverses0(n)
-    weights = factorial_weights(n)
     out = np.empty(perms0.shape[0])
     for s in range(perms0.shape[0]):
-        ranks = encode_batch(perms0[s][inv0]) @ weights
-        out[s] = float(np.dot(q[ranks], h))
+        out[s] = float(np.dot(q[encode_batch(perms0[s][inv0])], h))
     return out

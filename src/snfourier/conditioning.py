@@ -6,11 +6,13 @@ last). The likelihood is two-valued: s on consistent permutations, 1-s
 elsewhere, with s in (0.5, 1]; s = 1 is the hard projector.
 
 Two interchangeable update routes are provided. The direct route evaluates
-the predicate on every basis label. The reorder route right-translates the
-basis so the touched items occupy the leading (or trailing) one-line slots,
-where consistency is readable from a fixed window of Lehmer digits, then
-translates back; it reproduces the direct route exactly and its swap counts
-stay below k*n per direction.
+the predicate on every basis label. The reorder route models a circuit that
+right-translates the basis, sigma -> sigma*pi, so the touched items occupy
+the leading (or trailing) one-line slots, where consistency is readable from
+a fixed window of Lehmer digits. Those digits depend only on the values
+sigma puts in the window, so the simulator reads them from the one-line
+columns pi moves there and never relabels the state; it reproduces the
+direct route exactly and reports swap counts below k*n per direction.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ANNIHILATION_TOL, ENCODINGS, UNIT_NORM_TOL, AnnihilatedStateError
-from .perms import Permutation, all_lehmer_digits, all_one_lines, \
-    ranks_after_sequence, reorder_sequence
+from .perms import Permutation, all_one_lines, reorder_sequence
+# no library code calls this; perfbench/spans.py patches it by name
+from .perms import ranks_after_sequence
 from .transform import function_degree
 
 
@@ -153,26 +156,22 @@ class CostReport(NamedTuple):
     digits_compared: int
 
 
-def _window_digits(obs: Observation, n: int, pi: Permutation) -> np.ndarray:
-    """Lehmer digits every consistent label shows in the reordered window.
+def _window_digits(vals, window: str) -> np.ndarray:
+    """Lehmer digits of the window slots, row by row, from the values they hold.
 
-    The window holds the touched items in ascending item order; surrogate
-    values are the assigned target positions, or the chain ranks for a
-    ranking, and digits count smaller values in the appropriate direction.
+    A front-window digit counts the smaller values in all later slots, which
+    is v - 1 less the smaller values earlier in the window; a back-window
+    digit counts them in the later window slots only, so there any values in
+    the same relative order, such as chain ranks, give the same digits.
     """
-    width = len(obs.touched())
-    if obs.kind == "assignment":
-        target = dict(zip(obs.indices, obs.values))
-        vals = [target[pi(m)] for m in range(1, width + 1)]
-        return np.array([
-            v - 1 - sum(1 for w in vals[:m] if w < v)
-            for m, v in enumerate(vals)
-        ])
-    chain = {item: rank for rank, item in enumerate(obs.items)}
-    vals = [chain[pi(m)] for m in range(n - width + 1, n + 1)]
-    return np.array([
-        sum(1 for w in vals[m + 1:] if w < v) for m, v in enumerate(vals)
-    ])
+    vals = np.atleast_2d(vals)
+    out = np.empty_like(vals)
+    for m in range(vals.shape[1]):
+        if window == "front":
+            out[:, m] = vals[:, m] - 1 - np.sum(vals[:, :m] < vals[:, m:m + 1], axis=1)
+        else:
+            out[:, m] = np.sum(vals[:, m + 1:] < vals[:, m:m + 1], axis=1)
+    return out
 
 
 def reorder_update_condition(
@@ -180,8 +179,9 @@ def reorder_update_condition(
 ) -> tuple[np.ndarray, float, CostReport]:
     """Digit-window route to the same posterior as bayes_update.
 
-    Relabels basis states by sigma -> sigma*pi, tests a fixed window of
-    Lehmer digits instead of the full predicate, rescales, and relabels back.
+    Tests every basis label sigma by the window Lehmer digits of sigma*pi,
+    read from the one-line columns pi moves into the window, instead of the
+    full predicate, and rescales in place; the basis is never relabeled.
     """
     values, n = _checked_state(state, encoding)
     obs.check_degree(n)
@@ -191,20 +191,21 @@ def reorder_update_condition(
     pi, seq = reorder_sequence(
         n, obs.touched(), "to_front" if window == "front" else "to_back"
     )
-    forward = ranks_after_sequence(n, seq)
-    relabeled = np.empty_like(values)
-    relabeled[forward] = values
-
     width = len(obs.touched())
-    cols = np.arange(width) if window == "front" else np.arange(n - width, n)
-    mask = np.all(
-        all_lehmer_digits(n)[:, cols] == _window_digits(obs, n, pi), axis=1
-    )
-    scaled = relabeled * _scale_factors(mask, obs.s, encoding)
+    slots = range(1, width + 1) if window == "front" else range(n - width + 1, n + 1)
+    # surrogate window values: assigned positions, or ranks along the chain
+    if obs.kind == "assignment":
+        surrogate = dict(zip(obs.indices, obs.values))
+    else:
+        surrogate = {item: rank for rank, item in enumerate(obs.items)}
+    # slot m of sigma*pi holds sigma(pi(m))
+    moved = all_one_lines(n)[:, [pi(m) - 1 for m in slots]]
+    expected = _window_digits([surrogate[pi(m)] for m in slots], window)
+    mask = np.all(_window_digits(moved, window) == expected, axis=1)
+    scaled = values * _scale_factors(mask, obs.s, encoding)
     p_s = float(np.sum(scaled * scaled))
     if p_s <= ANNIHILATION_TOL:
         raise AnnihilatedStateError("conditioning left no posterior support")
     scaled /= math.sqrt(p_s)
-    # relabeling back inverts the scatter through `forward`, so it is a gather;
-    # inverse_swaps counts the swaps a circuit spends to uncompute the relabel
-    return scaled[forward], p_s, CostReport(window, len(seq), len(seq), width)
+    # a circuit relabels by the swaps of seq and uncomputes them afterwards
+    return scaled, p_s, CostReport(window, len(seq), len(seq), width)

@@ -186,5 +186,8 @@ def all_lehmer_digits(n: int) -> np.ndarray:
 
 def ranks_after_sequence(n: int, seq: tuple[int, ...]) -> np.ndarray:
     """Rank of sigma_r composed with the swap sequence, for every rank r."""
-    moved = _backend.apply_swaps(_backend.all_digits(n), np.asarray(seq, dtype=np.int64))
-    return moved @ _backend.factorial_weights(n)
+    slots = list(range(n))
+    for k in seq:
+        slots[k - 1], slots[k] = slots[k], slots[k - 1]
+    # slot m of sigma . pi holds sigma(pi(m))
+    return _backend.encode_batch(_backend.all_perms0(n)[:, slots])

@@ -304,8 +304,7 @@ def sample_computational(state: ModelState, count: int, seed: int) -> list:
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
     ranks = rng.choice(len(probs), size=int(count), p=probs)
-    lines = all_one_lines(state.n)
-    return [Permutation(tuple(int(v) for v in lines[r])) for r in ranks]
+    return [Permutation(tuple(row)) for row in all_one_lines(state.n)[ranks].tolist()]
 
 
 def sample_fourier(

@@ -87,7 +87,9 @@ def spectrum_from_json(text: str) -> FourierSpectrum:
             parts = json.loads(key)
         except json.JSONDecodeError:
             raise ValueError(f"bad partition key {key!r}") from None
-        lam = Partition(tuple(int(part) for part in parts))
+        if not (isinstance(parts, list) and all(_plain_int(part) for part in parts)):
+            raise ValueError(f"bad partition key {key!r}")
+        lam = Partition(tuple(parts))
         blocks[lam] = np.asarray(rows, dtype=np.float64)
     n = next(iter(blocks)).weight
     return FourierSpectrum(n=n, normalization=doc["normalization"], blocks=blocks)
@@ -129,10 +131,11 @@ def function_from_csv(text: str) -> np.ndarray:
 def posterior_to_csv(posterior) -> str:
     arr = np.asarray(posterior, dtype=np.float64)
     n = function_degree(arr)
+    if not np.isfinite(arr).all():
+        raise ValueError("cannot serialize non-finite posterior values")
     lines = ["rank,one_line,probability"]
-    for rank, row in enumerate(all_one_lines(n)):
-        one_line = " ".join(str(int(v)) for v in row)
-        lines.append(f"{rank},{one_line},{format_float(arr[rank])}")
+    for rank, (row, value) in enumerate(zip(all_one_lines(n).tolist(), arr.tolist())):
+        lines.append(f"{rank},{' '.join(map(str, row))},{value:.17g}")
     return "\n".join(lines) + "\n"
 
 

@@ -169,7 +169,6 @@ def left_shift(tau: Permutation, h) -> np.ndarray:
     lines = all_one_lines(n)
     tau_arr = np.asarray(tau.one_line, dtype=np.int64)
     shifted = tau_arr[lines - 1]
-    ranks = _backend.encode_batch(shifted) @ _backend.factorial_weights(n)
     out = np.empty_like(values)
-    out[ranks] = values
+    out[_backend.encode_batch(shifted)] = values
     return out

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import oracles
+from snfourier import conditioning
 from snfourier.conditioning import Observation, bayes_update, consistency_predicate, \
     reorder_update_condition, success_probability_conditioning
 from snfourier.errors import AnnihilatedStateError
-from snfourier.perms import Permutation
+from snfourier.perms import Permutation, reorder_sequence
 from snfourier.transform import left_shift
 
 RNG = np.random.default_rng(31)
@@ -215,6 +216,44 @@ def test_reorder_equals_bayes_randomized():
         moved = len(obs.indices) if obs.kind == "assignment" else len(obs.items)
         assert cost.forward_swaps <= moved * n
         assert cost.inverse_swaps <= moved * n
+
+
+def test_reorder_equals_bayes_bitwise_at_n8():
+    n = 8
+    psi = oracles.random_unit(RNG, math.factorial(n))
+    observations = [
+        Observation(kind="assignment", s=0.8,
+                    indices=tuple(int(v) for v in RNG.choice(n, size=k, replace=False) + 1),
+                    values=tuple(int(v) for v in RNG.choice(n, size=k, replace=False) + 1))
+        for k in range(1, n)
+    ] + [
+        Observation(kind="ranking", s=0.8,
+                    items=tuple(int(v) for v in RNG.choice(n, size=k, replace=False) + 1))
+        for k in range(2, n + 1)
+    ]
+    for obs in observations:
+        mode = "to_front" if obs.kind == "assignment" else "to_back"
+        swaps = len(reorder_sequence(n, obs.touched(), mode)[1])
+        for encoding in ("amplitude", "born"):
+            direct, ps_direct = bayes_update(psi, obs, encoding)
+            routed, ps_routed, cost = reorder_update_condition(psi, obs, encoding)
+            assert np.array_equal(routed, direct)
+            assert ps_routed == ps_direct
+            assert cost.forward_swaps == cost.inverse_swaps == swaps
+
+
+def test_reorder_route_never_relabels_the_basis(monkeypatch):
+    def relabel(*args):
+        raise AssertionError("the reorder route relabeled the basis")
+
+    monkeypatch.setattr(conditioning, "ranks_after_sequence", relabel)
+    psi = oracles.random_unit(RNG, 120)
+    for obs in (Observation(kind="assignment", indices=(2, 5), values=(4, 1), s=0.9),
+                Observation(kind="ranking", items=(3, 1, 4), s=1.0)):
+        direct, ps_direct = bayes_update(psi, obs, "amplitude")
+        routed, ps_routed, _ = reorder_update_condition(psi, obs, "amplitude")
+        assert np.array_equal(routed, direct)
+        assert ps_routed == ps_direct
 
 
 def test_empty_observation_is_noop():

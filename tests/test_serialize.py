@@ -89,6 +89,15 @@ def test_spectrum_json_validation():
         spectrum_from_json("[1,2,3]")
 
 
+def test_spectrum_json_rejects_non_integer_partition_keys():
+    text = spectrum_to_json(gft_forward(oracles.random_unit(RNG, 6), "plain"))
+    for key in ("[1.7]", "[true]", "1"):
+        doc = json.loads(text)
+        doc["blocks"][key] = doc["blocks"].pop("[3]")
+        with pytest.raises(ValueError, match="bad partition key"):
+            spectrum_from_json(json.dumps(doc))
+
+
 def test_function_csv_round_trip():
     h = RNG.standard_normal(24)
     text = function_to_csv(h)
@@ -119,6 +128,12 @@ def test_posterior_csv_lists_one_lines():
     assert lines[1] == "0,1 2 3,0.75"
     assert lines[2] == "1,1 3 2,0.25"
     assert len(lines) == 7
+
+
+def test_posterior_csv_rejects_nan():
+    posterior = np.array([0.75, np.nan, 0.25, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        posterior_to_csv(posterior)
 
 
 def test_samples_csv():
