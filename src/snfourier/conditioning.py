@@ -23,7 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ANNIHILATION_TOL, ENCODINGS, UNIT_NORM_TOL, AnnihilatedStateError
+from .errors import ANNIHILATION_TOL, ENCODINGS, UNIT_NORM_TOL, AnnihilatedStateError, \
+    PlanValidationError
 from .perms import Permutation, all_one_lines, reorder_sequence
 # no library code calls this; perfbench/spans.py patches it by name
 from .perms import ranks_after_sequence
@@ -43,24 +44,30 @@ class Observation:
         object.__setattr__(self, "values", tuple(int(v) for v in self.values))
         object.__setattr__(self, "items", tuple(int(i) for i in self.items))
         if self.kind not in ("assignment", "ranking"):
-            raise ValueError(f"kind must be assignment|ranking, got {self.kind!r}")
+            raise PlanValidationError(
+                "kind", f"kind must be assignment|ranking, got {self.kind!r}"
+            )
         if not 0.5 < self.s <= 1.0:
-            raise ValueError(f"likelihood trust s must lie in (0.5, 1], got {self.s}")
+            raise PlanValidationError(
+                "s", f"likelihood weight must lie in (0.5, 1], got {self.s}"
+            )
         if self.kind == "assignment":
             if self.items:
-                raise ValueError("assignment observations take no items")
+                raise PlanValidationError("items", "assignments take no items")
             if len(self.indices) != len(self.values):
-                raise ValueError("indices and values must pair up")
-            pools = (self.indices, self.values)
+                raise PlanValidationError("values", "indices and values must pair up")
+            pools = ("indices", "values")
         else:
             if self.indices or self.values:
-                raise ValueError("ranking observations take only items")
-            pools = (self.items,)
-        for pool in pools:
+                field = "indices" if self.indices else "values"
+                raise PlanValidationError(field, "ranking observations take only items")
+            pools = ("items",)
+        for name in pools:
+            pool = getattr(self, name)
             if len(set(pool)) != len(pool):
-                raise ValueError("observation entries must be distinct")
+                raise PlanValidationError(name, "observation entries must be distinct")
             if any(v < 1 for v in pool):
-                raise ValueError("observation entries must be >= 1")
+                raise PlanValidationError(name, "observation entries must be >= 1")
 
     @property
     def is_empty(self) -> bool:
@@ -72,9 +79,11 @@ class Observation:
         return self.indices if self.kind == "assignment" else self.items
 
     def check_degree(self, n: int):
-        pools = self.touched() + (self.values if self.kind == "assignment" else ())
-        if any(v > n for v in pools):
-            raise ValueError(f"observation references items beyond degree {n}")
+        for name in ("indices", "values", "items"):
+            if any(v > n for v in getattr(self, name)):
+                raise PlanValidationError(
+                    name, f"observation references items beyond degree {n}"
+                )
 
 
 def consistency_predicate(obs: Observation, sigma: Permutation) -> bool:

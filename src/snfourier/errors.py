@@ -20,12 +20,17 @@ class DegreeGuardError(SnfourierError):
     """Raised when n exceeds the configured dense-storage guard."""
 
 
-class PlanValidationError(SnfourierError):
-    """Raised by plan/observation parsing; names the offending field."""
+class PlanValidationError(SnfourierError, ValueError):
+    """Raised by the plan model and its JSON reader; names the offending field."""
 
     def __init__(self, field: str, message: str):
         self.field = field
+        self.reason = message
         super().__init__(f"{field}: {message}")
+
+    def under(self, path: str) -> "PlanValidationError":
+        """The same error with its field placed under a document path."""
+        return PlanValidationError(f"{path}.{self.field}", self.reason)
 
 
 class AnnihilatedStateError(SnfourierError):

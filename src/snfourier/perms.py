@@ -179,11 +179,6 @@ def all_one_lines(n: int) -> np.ndarray:
     return out
 
 
-def all_lehmer_digits(n: int) -> np.ndarray:
-    """(n!, n) array of Lehmer digits, row r = digits of rank r. Read-only."""
-    return _backend.all_digits(n)
-
-
 def ranks_after_sequence(n: int, seq: tuple[int, ...]) -> np.ndarray:
     """Rank of sigma_r composed with the swap sequence, for every rank r."""
     slots = list(range(n))

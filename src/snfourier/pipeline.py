@@ -22,10 +22,12 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .conditioning import Observation, reorder_update_condition
-from .diffusion import DiffusionKernel, apply_diffusion_born, \
-    apply_diffusion_spectral, success_probability_lower_bound
+from .diffusion import DiffusionKernel, apply_diffusion_spectral, \
+    success_probability_lower_bound
+# no library code calls this; perfbench/spans.py patches it by name
+from .diffusion import apply_diffusion_born
 from .errors import ANNIHILATION_TOL, ENCODINGS, UNIT_NORM_TOL, AnnihilatedStateError, \
-    check_degree
+    PlanValidationError, check_degree
 from .partitions import Partition, enumerate_partitions
 from .perms import Permutation, all_one_lines, lehmer_encode, lehmer_rank
 from .transform import function_degree, gft_forward, gft_inverse
@@ -68,9 +70,11 @@ class DiffusionStep:
 
     def __post_init__(self):
         if not 0 <= self.p <= 1:
-            raise ValueError(f"stay probability must lie in [0, 1], got {self.p}")
+            raise PlanValidationError(
+                "p", f"stay probability must lie in [0, 1], got {self.p}"
+            )
         if self.d < 1:
-            raise ValueError("step count must be >= 1")
+            raise PlanValidationError("d", "step count must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -80,21 +84,31 @@ class ConditioningStep:
 
 @dataclass(frozen=True)
 class EmpiricalInitial:
-    """Dataset of observed permutations with multiplicities."""
+    """Dataset of observed permutations with multiplicities.
+
+    Errors name the plan-schema key, dataset, that holds the entries.
+    """
 
     entries: tuple
 
     def __post_init__(self):
         if not self.entries:
-            raise ValueError("empirical dataset must not be empty")
+            raise PlanValidationError("dataset", "empirical dataset must not be empty")
         coerced = []
-        for one_line, count in self.entries:
+        for i, (one_line, count) in enumerate(self.entries):
             if int(count) != count or count < 1:
-                raise ValueError("dataset counts must be positive integers")
-            perm = Permutation(tuple(int(v) for v in one_line))
+                raise PlanValidationError(
+                    f"dataset[{i}].count", "count must be an integer >= 1"
+                )
+            try:
+                perm = Permutation(tuple(int(v) for v in one_line))
+            except ValueError as err:
+                raise PlanValidationError(f"dataset[{i}].one_line", str(err)) from None
             coerced.append((perm.one_line, int(count)))
         if len({len(ol) for ol, _ in coerced}) != 1:
-            raise ValueError("dataset permutations must share one degree")
+            raise PlanValidationError(
+                "dataset", "dataset permutations must share one degree"
+            )
         object.__setattr__(self, "entries", tuple(coerced))
 
     @property
@@ -110,6 +124,8 @@ class EmpiricalInitial:
 
 @dataclass(frozen=True)
 class ExperimentPlan:
+    """A whole plan; each rule raises PlanValidationError naming its field."""
+
     n: int
     steps: tuple = ()
     encoding: str = "amplitude"
@@ -119,34 +135,44 @@ class ExperimentPlan:
     amplitude_empirical_ok: bool = False
 
     def __post_init__(self):
-        check_degree(self.n)
+        if self.n < 1:
+            raise PlanValidationError("n", "a positive integer degree is required")
         if self.encoding not in ENCODINGS:
-            raise ValueError(f"encoding must be amplitude|born, got {self.encoding!r}")
-        if isinstance(self.initial, str):
-            if self.initial != "identity":
-                raise ValueError(f"unknown initial state {self.initial!r}")
-        elif isinstance(self.initial, EmpiricalInitial):
-            if self.initial.degree != self.n:
-                raise ValueError("empirical dataset degree differs from plan degree")
-            if self.encoding == "amplitude" and not self.amplitude_empirical_ok:
-                raise ValueError(
-                    "empirical initial expects born encoding; set "
-                    "amplitude_empirical_ok to override"
-                )
-        else:
-            raise ValueError("initial must be 'identity' or an EmpiricalInitial")
-        for step in self.steps:
-            if isinstance(step, DiffusionStep):
-                if self.n < 2:
-                    raise ValueError("diffusion steps need n >= 2")
-            elif isinstance(step, ConditioningStep):
-                step.observation.check_degree(self.n)
-            else:
-                raise ValueError(f"unknown step {step!r}")
-        if self.sharpening is not None and self.sharpening < 1:
-            raise ValueError("sharpening exponent must be >= 1")
+            raise PlanValidationError("encoding", "encoding must be amplitude|born")
         if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 bits")
+            raise PlanValidationError("seed", "seed must be an unsigned 64-bit integer")
+        for i, step in enumerate(self.steps):
+            if isinstance(step, ConditioningStep):
+                try:
+                    step.observation.check_degree(self.n)
+                except PlanValidationError as err:
+                    raise err.under(f"steps[{i}].observation") from None
+            elif not isinstance(step, DiffusionStep):
+                raise PlanValidationError(f"steps[{i}]", f"unknown step {step!r}")
+        if self.sharpening is not None and self.sharpening < 1:
+            raise PlanValidationError("sharpening", "exponent must be an integer >= 1")
+        if isinstance(self.initial, EmpiricalInitial):
+            if self.initial.degree != self.n:
+                raise PlanValidationError(
+                    "initial.dataset",
+                    f"dataset degree {self.initial.degree} differs from plan "
+                    f"degree {self.n}",
+                )
+            if self.encoding == "amplitude" and not self.amplitude_empirical_ok:
+                raise PlanValidationError(
+                    "initial",
+                    "empirical initial expects born encoding; "
+                    "set amplitude_empirical_ok to override",
+                )
+        elif self.initial != "identity":
+            raise PlanValidationError(
+                "initial", "initial must be 'identity' or an empirical dataset"
+            )
+        for i, step in enumerate(self.steps):
+            if isinstance(step, DiffusionStep) and self.n < 2:
+                raise PlanValidationError(f"steps[{i}]", "diffusion steps need n >= 2")
+        # the guard comes last, so a bad field is exit 2 even when n is too large
+        check_degree(self.n)
 
 
 class AmplificationCost(NamedTuple):
@@ -207,16 +233,11 @@ def run_plan(plan: ExperimentPlan) -> tuple[ModelState, RunReport]:
     """Execute all steps in order; returns the final state and its report."""
     amps = _initial_amplitudes(plan)
     ledger: list = []
-    bounds: list = []
     for number, step in enumerate(plan.steps, start=1):
         if isinstance(step, DiffusionStep):
             kernel = DiffusionKernel(p=step.p, n=plan.n, d=step.d)
-            spectrum = gft_forward(amps, "unitary")
-            if plan.encoding == "amplitude":
-                out, p_s = apply_diffusion_spectral(spectrum, kernel)
-            else:
-                out, renorm = apply_diffusion_born(spectrum, kernel)
-                p_s = renorm * renorm
+            # the block scaling and p_s are the same for both encodings
+            out, p_s = apply_diffusion_spectral(gft_forward(amps, "unitary"), kernel)
             amps = gft_inverse(out)
             bound_value = None
             if step.p > 0:
@@ -227,7 +248,6 @@ def run_plan(plan: ExperimentPlan) -> tuple[ModelState, RunReport]:
                 "step": number, "type": "diffusion", "p": step.p, "d": step.d,
                 "success_prob": p_s, "bound": bound_value,
             })
-            bounds.append(bound_value)
         else:
             obs = step.observation
             amps, p_s, cost = reorder_update_condition(amps, obs, plan.encoding)
@@ -236,24 +256,21 @@ def run_plan(plan: ExperimentPlan) -> tuple[ModelState, RunReport]:
                 "s": obs.s, "success_prob": p_s, "bound": p_s,
                 "swaps": cost.forward_swaps + cost.inverse_swaps,
             })
-            bounds.append(p_s)
     state = ModelState(
         amplitudes=amps, encoding=plan.encoding, t=len(plan.steps), ledger=ledger
     )
     if plan.sharpening is not None:
-        state, p_s = sharpen_map(state, plan.sharpening)
-        bounds.append(p_s)
+        state, _ = sharpen_map(state, plan.sharpening)
 
     p_total = 1.0
     for entry in state.ledger:
         p_total *= entry["success_prob"]
+    bounds = [entry["bound"] for entry in state.ledger]
     if any(b is None for b in bounds):
         lower_bound = None
         note = "inapplicable: a diffusion step has no valid lower bound"
     else:
-        lower_bound = 1.0
-        for b in bounds:
-            lower_bound *= b
+        lower_bound = math.prod(bounds, start=1.0)
         note = "diffusion bounds times measured conditioning probabilities"
     report = RunReport(
         p_total=p_total,

@@ -3,6 +3,12 @@
 Every float is printed with 17 significant digits, enough for an IEEE double
 to round-trip exactly, so golden files can be compared byte for byte. The
 writers emit keys in a fixed order for the same reason.
+
+The plan reader checks types only: what JSON itself can get wrong (syntax,
+objects, arrays, integers, booleans, unknown keys), plus reading a string p
+such as "1/3" as an exact Fraction. Every range rule lives in the plan model,
+whose PlanValidationError names its own field; the reader puts the document
+path in front of it (steps[0] + p -> steps[0].p).
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .conditioning import Observation
-from .errors import ENCODINGS, PlanValidationError
+from .errors import PlanValidationError
 from .partitions import Partition, enumerate_partitions
 from .perms import all_one_lines
 from .pipeline import (
@@ -233,135 +239,91 @@ def _plain_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _parse_observation(doc, path: str) -> Observation:
-    if not isinstance(doc, dict):
-        raise PlanValidationError(path, "observation must be a JSON object")
-    kind = doc.get("kind")
-    if kind not in ("assignment", "ranking"):
-        raise PlanValidationError(f"{path}.kind", "kind must be assignment|ranking")
-    allowed = {"kind", "s", "indices", "values"}
-    if kind == "ranking":
-        allowed = {"kind", "s", "items"}
-    for key in doc:
-        if key not in allowed:
-            raise PlanValidationError(f"{path}.{key}", f"unknown field for {kind}")
-    s = doc.get("s", 1.0)
-    if not _plain_number(s) or not 0.5 < s <= 1:
-        raise PlanValidationError(
-            f"{path}.s", "likelihood weight must lie in (0.5, 1]"
-        )
-
-    def int_array(key):
-        raw = doc.get(key, [])
-        if not isinstance(raw, list) or not all(_plain_int(v) for v in raw):
-            raise PlanValidationError(f"{path}.{key}", "expected an array of integers")
-        return tuple(raw)
-
+def _build(path: str, cls, **fields):
+    """Build a plan-model object; its error's field goes under the document path."""
     try:
-        if kind == "assignment":
-            return Observation(
-                kind=kind, s=float(s),
-                indices=int_array("indices"), values=int_array("values"),
-            )
-        return Observation(kind=kind, s=float(s), items=int_array("items"))
-    except ValueError as err:
-        raise PlanValidationError(path, str(err)) from None
+        return cls(**fields)
+    except PlanValidationError as err:
+        raise err.under(path) from None
 
 
-def _parse_step(item, path: str):
-    if not isinstance(item, dict):
-        raise PlanValidationError(path, "step must be a JSON object")
-    kind = item.get("type")
-    if kind == "diffusion":
-        for key in item:
-            if key not in ("type", "p", "d"):
-                raise PlanValidationError(f"{path}.{key}", "unknown field for diffusion")
-        p = item.get("p")
-        if isinstance(p, str):
-            # a string like "1/3" or "0.3" requests exact rational arithmetic
-            try:
-                p = Fraction(p)
-            except (ValueError, ZeroDivisionError):
-                raise PlanValidationError(
-                    f"{path}.p", f"cannot read {p!r} as an exact fraction"
-                ) from None
-        elif _plain_number(p):
-            p = float(p)
-        else:
-            raise PlanValidationError(
-                f"{path}.p", "stay probability in [0, 1] is required"
-            )
-        if not 0 <= p <= 1:
-            raise PlanValidationError(
-                f"{path}.p", "stay probability in [0, 1] is required"
-            )
-        d = item.get("d", 1)
-        if not _plain_int(d) or d < 1:
-            raise PlanValidationError(f"{path}.d", "step count must be an integer >= 1")
-        return DiffusionStep(p=p, d=d)
-    if kind == "conditioning":
-        for key in item:
-            if key not in ("type", "observation"):
-                raise PlanValidationError(
-                    f"{path}.{key}", "unknown field for conditioning"
-                )
-        obs_doc = item.get("observation")
-        if obs_doc is None:
-            raise PlanValidationError(
-                f"{path}.observation", "an observation object is required"
-            )
-        return ConditioningStep(_parse_observation(obs_doc, f"{path}.observation"))
-    raise PlanValidationError(f"{path}.type", "type must be diffusion|conditioning")
-
-
-def _parse_initial(doc, n: int, encoding: str, opt_in: bool):
-    if doc == "identity":
-        return "identity"
-    if isinstance(doc, str):
-        raise PlanValidationError("initial", f"unknown initial state {doc!r}")
-    if not isinstance(doc, dict) or doc.get("kind") != "empirical":
-        raise PlanValidationError(
-            "initial", "initial must be 'identity' or an empirical object"
-        )
+def _tagged(doc, path: str, tag: str, shapes: dict) -> str:
+    """Check a JSON object's tag, then its keys against that tag's shape."""
+    if not isinstance(doc, dict):
+        raise PlanValidationError(path, "expected a JSON object")
+    kind = doc.get(tag)
+    if not isinstance(kind, str) or kind not in shapes:
+        raise PlanValidationError(f"{path}.{tag}", f"{tag} must be {'|'.join(shapes)}")
     for key in doc:
-        if key not in ("kind", "dataset"):
-            raise PlanValidationError(f"initial.{key}", "unknown field")
+        if key != tag and key not in shapes[kind]:
+            raise PlanValidationError(f"{path}.{key}", f"unknown field for {kind}")
+    return kind
+
+
+def _int_array(raw, path: str) -> tuple:
+    if not isinstance(raw, list) or not all(_plain_int(v) for v in raw):
+        raise PlanValidationError(path, "expected an array of integers")
+    return tuple(raw)
+
+
+_OBSERVATION_SHAPES = {
+    "assignment": ("s", "indices", "values"),
+    "ranking": ("s", "items"),
+}
+_STEP_SHAPES = {"diffusion": ("p", "d"), "conditioning": ("observation",)}
+
+
+def _parse_observation(doc, path: str) -> Observation:
+    kind = _tagged(doc, path, "kind", _OBSERVATION_SHAPES)
+    s = doc.get("s", 1.0)
+    if not _plain_number(s):
+        raise PlanValidationError(f"{path}.s", "expected a number")
+    pools = {
+        key: _int_array(raw, f"{path}.{key}")
+        for key, raw in doc.items() if key not in ("kind", "s")
+    }
+    return _build(path, Observation, kind=kind, s=s, **pools)
+
+
+def _parse_step(doc, path: str):
+    if _tagged(doc, path, "type", _STEP_SHAPES) == "conditioning":
+        return ConditioningStep(
+            _parse_observation(doc.get("observation"), f"{path}.observation")
+        )
+    p = doc.get("p")
+    if isinstance(p, str):
+        # a string like "1/3" or "0.3" requests exact rational arithmetic
+        try:
+            p = Fraction(p)
+        except (ValueError, ZeroDivisionError):
+            raise PlanValidationError(
+                f"{path}.p", f"cannot read {p!r} as an exact fraction"
+            ) from None
+    elif not _plain_number(p):
+        raise PlanValidationError(f"{path}.p", "expected a number or a fraction string")
+    d = doc.get("d", 1)
+    if not _plain_int(d):
+        raise PlanValidationError(f"{path}.d", "expected an integer")
+    return _build(path, DiffusionStep, p=p, d=d)
+
+
+def _parse_initial(doc):
+    if not isinstance(doc, dict):
+        return doc  # "identity", or a value the plan model rejects
+    _tagged(doc, "initial", "kind", {"empirical": ("dataset",)})
     dataset = doc.get("dataset")
-    if not isinstance(dataset, list) or not dataset:
-        raise PlanValidationError("initial.dataset", "a non-empty array is required")
+    if not isinstance(dataset, list):
+        raise PlanValidationError("initial.dataset", "expected an array")
     entries = []
     for i, item in enumerate(dataset):
+        path = f"initial.dataset[{i}]"
         if not isinstance(item, dict) or set(item) != {"one_line", "count"}:
-            raise PlanValidationError(
-                f"initial.dataset[{i}]", "expected an object with one_line and count"
-            )
-        one_line = item["one_line"]
-        if not isinstance(one_line, list) or not all(_plain_int(v) for v in one_line):
-            raise PlanValidationError(
-                f"initial.dataset[{i}].one_line", "expected an array of integers"
-            )
-        count = item["count"]
-        if not _plain_int(count) or count < 1:
-            raise PlanValidationError(
-                f"initial.dataset[{i}].count", "count must be an integer >= 1"
-            )
-        entries.append((tuple(one_line), count))
-    try:
-        initial = EmpiricalInitial(entries=tuple(entries))
-    except ValueError as err:
-        raise PlanValidationError("initial.dataset", str(err)) from None
-    if initial.degree != n:
-        raise PlanValidationError(
-            "initial.dataset",
-            f"dataset degree {initial.degree} differs from plan degree {n}",
-        )
-    if encoding == "amplitude" and not opt_in:
-        raise PlanValidationError(
-            "initial",
-            "empirical initial expects born encoding; "
-            "set amplitude_empirical_ok to override",
-        )
-    return initial
+            raise PlanValidationError(path, "expected an object of one_line and count")
+        if not _plain_int(item["count"]):
+            raise PlanValidationError(f"{path}.count", "expected an integer")
+        one_line = _int_array(item["one_line"], f"{path}.one_line")
+        entries.append((one_line, item["count"]))
+    return _build("initial", EmpiricalInitial, entries=tuple(entries))
 
 
 _PLAN_FIELDS = (
@@ -371,52 +333,37 @@ _PLAN_FIELDS = (
 
 
 def plan_from_json(text: str) -> ExperimentPlan:
-    """Parse and validate a plan document; errors name the offending field."""
+    """Decode a plan document; errors name the offending field."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # also an integer literal beyond int's digit limit
         raise PlanValidationError("document", f"not valid JSON ({err})") from None
     if not isinstance(doc, dict):
         raise PlanValidationError("document", "plan must be a JSON object")
     for key in doc:
         if key not in _PLAN_FIELDS:
             raise PlanValidationError(key, "unknown field")
-
     n = doc.get("n")
-    if not _plain_int(n) or n < 1:
-        raise PlanValidationError("n", "a positive integer degree is required")
-    encoding = doc.get("encoding", "amplitude")
-    if encoding not in ENCODINGS:
-        raise PlanValidationError("encoding", "encoding must be amplitude|born")
+    if not _plain_int(n):
+        raise PlanValidationError("n", "an integer degree is required")
     seed = doc.get("seed", 0)
-    if not _plain_int(seed) or not 0 <= seed < 2**64:
-        raise PlanValidationError("seed", "seed must be an unsigned 64-bit integer")
-    steps_doc = doc.get("steps", [])
-    if not isinstance(steps_doc, list):
-        raise PlanValidationError("steps", "steps must be an array")
-    steps = tuple(
-        _parse_step(item, f"steps[{i}]") for i, item in enumerate(steps_doc)
-    )
-    for i, step in enumerate(steps):
-        if isinstance(step, ConditioningStep):
-            try:
-                step.observation.check_degree(n)
-            except ValueError as err:
-                raise PlanValidationError(
-                    f"steps[{i}].observation", str(err)
-                ) from None
+    if not _plain_int(seed):
+        raise PlanValidationError("seed", "expected an integer")
     sharpening = doc.get("sharpening")
-    if sharpening is not None and (not _plain_int(sharpening) or sharpening < 1):
-        raise PlanValidationError("sharpening", "exponent must be an integer >= 1")
+    if sharpening is not None and not _plain_int(sharpening):
+        raise PlanValidationError("sharpening", "expected an integer")
     opt_in = doc.get("amplitude_empirical_ok", False)
     if not isinstance(opt_in, bool):
-        raise PlanValidationError("amplitude_empirical_ok", "must be a boolean")
-    initial = _parse_initial(doc.get("initial", "identity"), n, encoding, opt_in)
-
-    try:
-        return ExperimentPlan(
-            n=n, steps=steps, encoding=encoding, initial=initial, seed=seed,
-            sharpening=sharpening, amplitude_empirical_ok=opt_in,
-        )
-    except ValueError as err:
-        raise PlanValidationError("plan", str(err)) from None
+        raise PlanValidationError("amplitude_empirical_ok", "expected a boolean")
+    steps = doc.get("steps", [])
+    if not isinstance(steps, list):
+        raise PlanValidationError("steps", "expected an array")
+    return ExperimentPlan(
+        n=n,
+        steps=tuple(_parse_step(item, f"steps[{i}]") for i, item in enumerate(steps)),
+        encoding=doc.get("encoding", "amplitude"),
+        initial=_parse_initial(doc.get("initial", "identity")),
+        seed=seed,
+        sharpening=sharpening,
+        amplitude_empirical_ok=opt_in,
+    )

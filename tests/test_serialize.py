@@ -2,14 +2,19 @@
 
 import json
 import math
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from snfourier.cli import main
 from snfourier.conditioning import Observation
-from snfourier.errors import PlanValidationError
+from snfourier.errors import ENCODINGS, DegreeGuardError, PlanValidationError
 from snfourier.pipeline import (
     ConditioningStep,
     DiffusionStep,
@@ -280,6 +285,14 @@ def test_plan_json_minimal_defaults():
             "initial.dataset",
         ),
         ('{"n": 3, "flavor": "mint"}', "flavor"),
+        ('{"n": 1, "steps": [{"type": "diffusion", "p": 0.5}]}', "steps[0]"),
+        (
+            '{"n": 3, "steps": [{"type": "conditioning",'
+            ' "observation": {"kind": "ranking", "items": [2, 2]}}]}',
+            "steps[0].observation.items",
+        ),
+        # field errors come before the degree guard (exit 3)
+        ('{"n": 10, "encoding": "qubit"}', "encoding"),
     ],
 )
 def test_plan_json_errors_name_the_field(text, field):
@@ -287,6 +300,123 @@ def test_plan_json_errors_name_the_field(text, field):
         plan_from_json(text)
     assert err.value.field == field
     assert field in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: ExperimentPlan(n=3, seed=-1), "seed"),
+        (lambda: Observation(kind="ranking", items=(1, 1)), "items"),
+        (lambda: DiffusionStep(p=1.5), "p"),
+    ],
+)
+def test_plan_model_errors_name_the_field(build, field):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert err.value.field == field
+
+
+def _plan_schema(odd, fault_rate):
+    """Documents from the schema's keys; each value odd with chance 1/fault_rate."""
+
+    def field(valid):
+        if not fault_rate:
+            return valid
+        return st.integers(1, fault_rate).flatmap(lambda k: odd if k == 1 else valid)
+
+    def obj(required, optional=None):
+        return st.fixed_dictionaries(required, optional=optional)
+
+    s = field(st.sampled_from([0.6, 1.0]))
+    pairs = st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), max_size=3,
+                     unique_by=(lambda t: t[0], lambda t: t[1]))
+    observation = field(
+        pairs.flatmap(lambda ps: obj({
+            "kind": field(st.just("assignment")), "s": s,
+            "indices": field(st.just([i for i, _ in ps])),
+            "values": field(st.just([v for _, v in ps])),
+        }))
+        | obj({"kind": field(st.just("ranking")), "s": s},
+              {"items": field(st.lists(st.integers(1, 3), max_size=3, unique=True))})
+    )
+    step = field(
+        obj({"type": field(st.just("diffusion")),
+             "p": field(st.sampled_from([0, 0.6, 1, "1/3"]))},
+            {"d": field(st.integers(1, 3))})
+        | obj({"type": field(st.just("conditioning")), "observation": observation})
+    )
+    entry = field(obj({"one_line": field(st.permutations([1, 2, 3]).map(list)),
+                       "count": field(st.integers(1, 2))}))
+    empirical = obj({"kind": field(st.just("empirical")),
+                     "dataset": field(st.lists(entry, min_size=1, max_size=3))})
+    return obj(
+        {"n": field(st.sampled_from([1, 2, 3, 3, 4, 10])),
+         "steps": field(st.lists(step, min_size=1, max_size=3))},
+        {
+            "encoding": field(st.sampled_from(ENCODINGS)),
+            "seed": field(st.integers(0, 3)),
+            "initial": field(st.just("identity") | empirical),
+            "sharpening": field(st.integers(1, 3)),
+            "amplitude_empirical_ok": field(st.booleans()),
+        },
+    )
+
+
+def _with_fault(doc, path, fault):
+    if not path:
+        return fault(doc)
+    doc = doc.copy()
+    doc[path[0]] = _with_fault(doc[path[0]], path[1:], fault)
+    return doc
+
+
+@st.composite
+def _single_fault(draw, schema, odd):
+    """A document in which one value is odd, or one object has an unknown key."""
+    doc = draw(schema)
+    # walk down from a top-level key, stopping at each level with chance 1/3
+    path, node = (), doc
+    while isinstance(node, (dict, list)) and node and (
+        not path or draw(st.integers(0, 2)) > 0
+    ):
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        key = draw(st.sampled_from(keys))
+        path, node = path + (key,), node[key]
+    value = draw(odd)
+    if isinstance(node, dict) and draw(st.booleans()):
+        return _with_fault(doc, path, lambda node: {**node, "flavor": value})
+    return _with_fault(doc, path, lambda node: value)
+
+
+def faulty_plans(odd_values):
+    """Documents with about one value in twelve odd, or with exactly one fault."""
+    odd = st.sampled_from(odd_values)
+    return _plan_schema(odd, 12) | _single_fault(_plan_schema(odd, 0), odd)
+
+
+# wrong in type or range for some field; small enough for a quick run
+ODD_VALUES = [None, True, -1, 0, 1, 2, 3, 10, 0.3, 1.5, float("nan"), "x", "3/2",
+              "a/b", [], [1], [2, 1], [1, 1], {}, {"kind": "empirical"}]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(doc=faulty_plans(ODD_VALUES + [2**64, -2**70, 10**400, float("inf"), "1e400"]))
+def test_plan_reader_raises_only_plan_errors(doc):
+    try:
+        plan_from_json(json.dumps(doc))
+    except (PlanValidationError, DegreeGuardError):
+        pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_plan_schema(st.nothing(), 0) | faulty_plans(ODD_VALUES))
+def test_run_exits_only_with_contract_codes(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        plan = Path(tmp) / "plan.json"
+        plan.write_text(json.dumps(doc))
+        code = main(["run", "--plan", str(plan), "--out", str(Path(tmp) / "out")])
+    # 4 is a hard observation that contradicts the state, not a reader fault
+    assert code in (0, 2, 3, 4)
 
 
 def test_plan_json_empirical_amplitude_needs_opt_in():
