@@ -1,0 +1,68 @@
+"""The shared state rules: the unit-norm entry check and post-selection."""
+
+import math
+
+import numpy as np
+import pytest
+
+import oracles
+from snfourier.conditioning import Observation, bayes_update, reorder_update_condition
+from snfourier.diffusion import DiffusionKernel, apply_diffusion_spectral
+from snfourier.errors import AnnihilatedStateError
+from snfourier.pipeline import ModelState, sharpen_map, state_prep_unitary
+from snfourier.transform import gft_forward
+
+N = 3
+RANKING = Observation(kind="ranking", items=(1, 3), s=0.8)
+# item 1 at position 1 holds only on ranks 0 and 1
+PINNED = Observation(kind="assignment", indices=(1,), values=(1,), s=1.0)
+
+ENTRY_POINTS = {
+    "ModelState": lambda psi: ModelState(amplitudes=psi, encoding="amplitude"),
+    "bayes_update": lambda psi: bayes_update(psi, RANKING),
+    "reorder_update_condition": lambda psi: reorder_update_condition(psi, RANKING),
+    "apply_diffusion_spectral": lambda psi: apply_diffusion_spectral(
+        gft_forward(psi, "unitary"), DiffusionKernel(p=0.7, n=N)),
+    "state_prep_unitary": state_prep_unitary,
+}
+
+
+def state_with_norm_sq(norm_sq):
+    unit = np.full(math.factorial(N), 1.0 / math.sqrt(math.factorial(N)))
+    return math.sqrt(norm_sq) * unit
+
+
+@pytest.mark.parametrize("enter", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+def test_entry_points_share_the_unit_norm_tolerance(enter):
+    enter(state_with_norm_sq(1.0 + 1e-10))
+    with pytest.raises(ValueError):
+        enter(state_with_norm_sq(1.0 + 1e-6))
+
+
+def _reversal():
+    psi = np.zeros(math.factorial(N))
+    psi[-1] = 1.0  # [3, 2, 1] puts item 1 at position 3
+    return psi
+
+
+def _sign_spectrum():
+    signs = np.array([(-1.0) ** sum(oracles.inversion_digits(ol))
+                      for ol in oracles.all_perms_lex(N)])
+    return gft_forward(signs / np.linalg.norm(signs), "unitary")
+
+
+POST_SELECTED = {
+    "bayes_update": lambda: bayes_update(_reversal(), PINNED),
+    "reorder_update_condition": lambda: reorder_update_condition(_reversal(), PINNED),
+    # p = 1/2 zeroes the sign block, where the alternating state lives
+    "apply_diffusion_spectral": lambda: apply_diffusion_spectral(
+        _sign_spectrum(), DiffusionKernel(p=0.5, n=N)),
+    "sharpen_map": lambda: sharpen_map(
+        ModelState(amplitudes=state_with_norm_sq(1.0), encoding="born"), 1000),
+}
+
+
+@pytest.mark.parametrize("step", POST_SELECTED.values(), ids=POST_SELECTED.keys())
+def test_post_selected_steps_raise_when_nothing_survives(step):
+    with pytest.raises(AnnihilatedStateError):
+        step()
