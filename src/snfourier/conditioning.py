@@ -5,26 +5,26 @@ constrains the relative order of a chain of items (ranking, listed first to
 last). The likelihood is two-valued: s on consistent permutations, 1-s
 elsewhere, with s in (0.5, 1]; s = 1 is the hard projector.
 
-Two interchangeable update routes are provided. The direct route evaluates
-the predicate on every basis label. The reorder route models a circuit that
-right-translates the basis, sigma -> sigma*pi, so the touched items occupy
-the leading (or trailing) one-line slots, where consistency is readable from
-a fixed window of Lehmer digits. Those digits depend only on the values
-sigma puts in the window, so the simulator reads them from the one-line
-columns pi moves there and never relabels the state; it reproduces the
-direct route exactly and reports swap counts below k*n per direction.
+Two interchangeable update routes share one body, the likelihood product
+and its post-selection, and differ only in the mask of consistent basis
+labels they pass it. The direct route evaluates the predicate on every
+label. The window route models a circuit that right-translates the basis,
+sigma -> sigma*pi, so the touched items occupy the leading (or trailing)
+one-line slots, where consistency is readable from a fixed window of Lehmer
+digits. Those digits depend only on the values sigma puts in the window, so
+the simulator reads them from the one-line columns pi moves there and never
+relabels the state; it reproduces the direct route exactly and reports swap
+counts below k*n per direction.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ANNIHILATION_TOL, ENCODINGS, UNIT_NORM_TOL, AnnihilatedStateError, \
-    PlanValidationError
+from .errors import UNIT_NORM_TOL, PlanValidationError, checked_state, renormalized
 from .perms import Permutation, all_one_lines, reorder_sequence
 # no library code calls this; perfbench/spans.py patches it by name
 from .perms import ranks_after_sequence
@@ -110,29 +110,23 @@ def _scale_factors(mask: np.ndarray, s: float, encoding: str) -> np.ndarray:
     return np.sqrt(like) if encoding == "born" else like
 
 
-def _checked_state(state, encoding: str) -> tuple[np.ndarray, int]:
-    if encoding not in ENCODINGS:
-        raise ValueError(f"encoding must be amplitude|born, got {encoding!r}")
-    values = np.asarray(state, dtype=np.float64)
+def _condition(state, obs: Observation, encoding: str, mask_of) -> tuple:
+    """Likelihood product on the labels mask_of(n) marks, then post-selection."""
+    values = checked_state(state, encoding)
     n = function_degree(values)
-    if abs(np.sum(values * values) - 1.0) > UNIT_NORM_TOL:
-        raise ValueError("state must be a unit vector")
-    return values, n
+    obs.check_degree(n)
+    if obs.is_empty:
+        return values.copy(), 1.0
+    scaled = values * _scale_factors(mask_of(n), obs.s, encoding)
+    p_s = float(np.sum(scaled * scaled))
+    return renormalized(scaled, p_s, "conditioning"), p_s
 
 
 def bayes_update(
     state, obs: Observation, encoding: str = "amplitude"
 ) -> tuple[np.ndarray, float]:
     """Pointwise likelihood product and renormalization; returns (state, p_s)."""
-    values, n = _checked_state(state, encoding)
-    obs.check_degree(n)
-    if obs.is_empty:
-        return values.copy(), 1.0
-    scaled = values * _scale_factors(_consistent_mask(obs, n), obs.s, encoding)
-    p_s = float(np.sum(scaled * scaled))
-    if p_s <= ANNIHILATION_TOL:
-        raise AnnihilatedStateError("conditioning left no posterior support")
-    return scaled / math.sqrt(p_s), p_s
+    return _condition(state, obs, encoding, lambda n: _consistent_mask(obs, n))
 
 
 def success_probability_conditioning(h, obs: Observation) -> float:
@@ -183,6 +177,21 @@ def _window_digits(vals, window: str) -> np.ndarray:
     return out
 
 
+def _window_mask(obs: Observation, n: int, window: str) -> np.ndarray:
+    """Consistency of every label sigma, read from the window digits of sigma*pi.
+
+    pi moves the touched slots idx into the window in ascending order, so
+    window slot m of sigma*pi holds sigma(idx[m]).
+    """
+    # surrogate window values: assigned positions, or ranks along the chain
+    pairs = (zip(obs.indices, obs.values) if obs.kind == "assignment"
+             else ((item, rank) for rank, item in enumerate(obs.items)))
+    idx, surrogate = zip(*sorted(pairs))
+    moved = all_one_lines(n)[:, [i - 1 for i in idx]]
+    expected = _window_digits(surrogate, window)
+    return np.all(_window_digits(moved, window) == expected, axis=1)
+
+
 def reorder_update_condition(
     state, obs: Observation, encoding: str = "amplitude"
 ) -> tuple[np.ndarray, float, CostReport]:
@@ -192,29 +201,12 @@ def reorder_update_condition(
     read from the one-line columns pi moves into the window, instead of the
     full predicate, and rescales in place; the basis is never relabeled.
     """
-    values, n = _checked_state(state, encoding)
-    obs.check_degree(n)
     window = "front" if obs.kind == "assignment" else "back"
-    if obs.is_empty:
-        return values.copy(), 1.0, CostReport(window, 0, 0, 0)
-    pi, seq = reorder_sequence(
-        n, obs.touched(), "to_front" if window == "front" else "to_back"
+    posterior, p_s = _condition(
+        state, obs, encoding, lambda n: _window_mask(obs, n, window)
     )
-    width = len(obs.touched())
-    slots = range(1, width + 1) if window == "front" else range(n - width + 1, n + 1)
-    # surrogate window values: assigned positions, or ranks along the chain
-    if obs.kind == "assignment":
-        surrogate = dict(zip(obs.indices, obs.values))
-    else:
-        surrogate = {item: rank for rank, item in enumerate(obs.items)}
-    # slot m of sigma*pi holds sigma(pi(m))
-    moved = all_one_lines(n)[:, [pi(m) - 1 for m in slots]]
-    expected = _window_digits([surrogate[pi(m)] for m in slots], window)
-    mask = np.all(_window_digits(moved, window) == expected, axis=1)
-    scaled = values * _scale_factors(mask, obs.s, encoding)
-    p_s = float(np.sum(scaled * scaled))
-    if p_s <= ANNIHILATION_TOL:
-        raise AnnihilatedStateError("conditioning left no posterior support")
-    scaled /= math.sqrt(p_s)
+    if obs.is_empty:
+        return posterior, p_s, CostReport(window, 0, 0, 0)
     # a circuit relabels by the swaps of seq and uncomputes them afterwards
-    return scaled, p_s, CostReport(window, len(seq), len(seq), width)
+    _, seq = reorder_sequence(function_degree(posterior), obs.touched(), f"to_{window}")
+    return posterior, p_s, CostReport(window, len(seq), len(seq), len(obs.touched()))

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import ANNIHILATION_TOL, UNIT_NORM_TOL, AnnihilatedStateError
+from .errors import check_unit_norm, renormalized
 from .partitions import diffusion_eigenvalue, enumerate_partitions
 from .perms import Permutation, lehmer_encode, lehmer_rank
 from .transform import FourierSpectrum
@@ -66,13 +66,6 @@ def _step_scales(kernel: DiffusionKernel) -> dict:
     }
 
 
-def _require_unit_unitary(spectrum: FourierSpectrum):
-    if spectrum.normalization != "unitary":
-        raise ValueError("diffusion expects a unitary-normalized spectrum")
-    if abs(spectrum.total_energy() - 1.0) > UNIT_NORM_TOL:
-        raise ValueError("diffusion expects the spectrum of a unit-norm state")
-
-
 def apply_diffusion_spectral(
     spectrum: FourierSpectrum, kernel: DiffusionKernel
 ) -> tuple[FourierSpectrum, float]:
@@ -83,17 +76,14 @@ def apply_diffusion_spectral(
     """
     if kernel.n != spectrum.n:
         raise ValueError("kernel degree and spectrum degree differ")
-    _require_unit_unitary(spectrum)
+    if spectrum.normalization != "unitary":
+        raise ValueError("diffusion expects a unitary-normalized spectrum")
+    energies = spectrum.energies()
+    check_unit_norm(sum(energies.values()))
     scales = _step_scales(kernel)
-    p_s = sum(
-        scales[lam] ** 2 * e for lam, e in spectrum.energies().items()
-    )
-    if p_s <= ANNIHILATION_TOL:
-        raise AnnihilatedStateError("diffusion annihilated the entire state")
-    root = math.sqrt(p_s)
-    blocks = {
-        lam: (scales[lam] / root) * block for lam, block in spectrum.blocks.items()
-    }
+    p_s = sum(scales[lam] ** 2 * e for lam, e in energies.items())
+    factors = renormalized(np.array([scales[lam] for lam in energies]), p_s, "diffusion")
+    blocks = {lam: f * spectrum.blocks[lam] for lam, f in zip(energies, factors)}
     return FourierSpectrum(spectrum.n, "unitary", blocks), p_s
 
 

@@ -1,14 +1,22 @@
-"""Shared exception types, the tolerances and names their checks use, and the
-dense-storage degree guard."""
+"""Shared exception types, the tolerances and the checks that apply them, and
+the dense-storage degree guard.
+
+A state a step takes in must have a squared norm within UNIT_NORM_TOL of 1
+(`check_unit_norm`; `checked_state` adds the encoding check). A post-selected
+step divides by sqrt(p_s), its success probability, in `renormalized`, which
+raises AnnihilatedStateError when p_s <= ANNIHILATION_TOL: squared norms that
+small are float noise, not a survivable state.
+"""
+
+import math
+
+import numpy as np
 
 DEFAULT_DEGREE_GUARD = 9
 
 ENCODINGS = ("amplitude", "born")
 
-# how far |norm^2 - 1| may stray for an input that must be a unit vector
 UNIT_NORM_TOL = 1e-8
-
-# squared norms below this are float noise, not a survivable state
 ANNIHILATION_TOL = 1e-24
 
 
@@ -35,6 +43,28 @@ class PlanValidationError(SnfourierError, ValueError):
 
 class AnnihilatedStateError(SnfourierError):
     """Raised when a post-selected step leaves zero amplitude everywhere."""
+
+
+def check_unit_norm(norm_sq: float) -> None:
+    """Reject a state whose squared norm strays from 1 by more than UNIT_NORM_TOL."""
+    if abs(norm_sq - 1.0) > UNIT_NORM_TOL:
+        raise ValueError(f"expected a unit-norm state, got squared norm {norm_sq!r}")
+
+
+def checked_state(state, encoding: str) -> np.ndarray:
+    """The state as a float64 array, once its encoding and unit norm are checked."""
+    if encoding not in ENCODINGS:
+        raise ValueError(f"encoding must be amplitude|born, got {encoding!r}")
+    values = np.asarray(state, dtype=np.float64)
+    check_unit_norm(float(np.sum(values * values)))
+    return values
+
+
+def renormalized(scaled, p_s: float, step: str):
+    """Post-select a scaled state: scaled / sqrt(p_s), unless nothing survives."""
+    if p_s <= ANNIHILATION_TOL:
+        raise AnnihilatedStateError(f"{step} left no surviving amplitude")
+    return scaled / math.sqrt(p_s)
 
 
 def check_degree(n: int, guard: int | None = None) -> int:

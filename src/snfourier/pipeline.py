@@ -26,8 +26,8 @@ from .diffusion import DiffusionKernel, apply_diffusion_spectral, \
     success_probability_lower_bound
 # no library code calls this; perfbench/spans.py patches it by name
 from .diffusion import apply_diffusion_born
-from .errors import ANNIHILATION_TOL, ENCODINGS, UNIT_NORM_TOL, AnnihilatedStateError, \
-    PlanValidationError, check_degree
+from .errors import ENCODINGS, PlanValidationError, check_degree, check_unit_norm, \
+    checked_state, renormalized
 from .partitions import Partition, enumerate_partitions
 from .perms import Permutation, all_one_lines, lehmer_encode, lehmer_rank
 from .transform import function_degree, gft_forward, gft_inverse
@@ -43,13 +43,8 @@ class ModelState:
     ledger: list = field(default_factory=list)
 
     def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=np.float64)
+        self.amplitudes = checked_state(self.amplitudes, self.encoding)
         function_degree(self.amplitudes)
-        if self.encoding not in ENCODINGS:
-            raise ValueError(f"encoding must be amplitude|born, got {self.encoding!r}")
-        norm_sq = float(np.sum(self.amplitudes * self.amplitudes))
-        if abs(norm_sq - 1.0) > UNIT_NORM_TOL:
-            raise ValueError("amplitudes must form a unit vector")
 
     @property
     def n(self) -> int:
@@ -262,9 +257,7 @@ def run_plan(plan: ExperimentPlan) -> tuple[ModelState, RunReport]:
     if plan.sharpening is not None:
         state, _ = sharpen_map(state, plan.sharpening)
 
-    p_total = 1.0
-    for entry in state.ledger:
-        p_total *= entry["success_prob"]
+    p_total = math.prod((entry["success_prob"] for entry in state.ledger), start=1.0)
     bounds = [entry["bound"] for entry in state.ledger]
     if any(b is None for b in bounds):
         lower_bound = None
@@ -295,20 +288,15 @@ def sharpen_map(state: ModelState, m: int) -> tuple[ModelState, float]:
     """
     if m < 1 or int(m) != m:
         raise ValueError(f"exponent must be a positive integer, got {m}")
-    entry = {"step": state.t + 1, "type": "sharpen", "m": int(m)}
     if m == 1:
         p_s = 1.0
         amps = state.amplitudes.copy()
     else:
         powered = state.amplitudes**m
         p_s = float(np.sum(powered * powered))
-        if p_s <= ANNIHILATION_TOL:
-            raise AnnihilatedStateError(
-                f"sharpening with m={m} underflowed every amplitude"
-            )
-        amps = powered / math.sqrt(p_s)
-    entry["success_prob"] = p_s
-    entry["bound"] = p_s
+        amps = renormalized(powered, p_s, "sharpening")
+    entry = {"step": state.t + 1, "type": "sharpen", "m": int(m),
+             "success_prob": p_s, "bound": p_s}
     return ModelState(
         amplitudes=amps, encoding=state.encoding, t=state.t + 1,
         ledger=state.ledger + [entry],
@@ -347,8 +335,7 @@ def state_prep_unitary(psi) -> np.ndarray:
     """Householder reflection carrying the rank-0 basis vector onto psi."""
     target = np.asarray(psi, dtype=np.float64)
     function_degree(target)
-    if abs(float(np.sum(target * target)) - 1.0) > UNIT_NORM_TOL:
-        raise ValueError("psi must be a unit vector")
+    check_unit_norm(float(np.sum(target * target)))
     diff = target.copy()
     diff[0] -= 1.0
     norm_sq = float(diff @ diff)

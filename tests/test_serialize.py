@@ -36,7 +36,8 @@ from snfourier.serialize import (
     spectrum_from_json,
     spectrum_to_json,
 )
-from snfourier.transform import gft_forward
+from snfourier.partitions import Partition
+from snfourier.transform import FourierSpectrum, gft_forward
 
 RNG = np.random.default_rng(20260814)
 
@@ -78,6 +79,22 @@ def test_spectrum_json_round_trip_is_exact():
             assert back.normalization == normalization
             for lam, block in spec.blocks.items():
                 assert np.array_equal(back.blocks[lam], block)
+
+
+def test_spectrum_json_prints_each_entry_with_format_float():
+    values = [0.0, -0.0, 1e-300, 1 / 3, -2.5e17, 5e-324]
+    blocks = {lam: np.array(values[:d * d]).reshape(d, d) for lam, d in
+              ((Partition((3,)), 1), (Partition((2, 1)), 2), (Partition((1, 1, 1)), 1))}
+    text = spectrum_to_json(FourierSpectrum(3, "plain", blocks))
+    doc = json.loads(text)
+    for block in blocks.values():
+        for row in block:
+            assert "[" + ", ".join(format_float(x) for x in row) + "]" in text
+    assert doc["blocks"]["[2,1]"] == [[0.0, -0.0], [1e-300, 1 / 3]]
+    for bad in (math.nan, math.inf, -math.inf):
+        blocks[Partition((2, 1))][1, 0] = bad
+        with pytest.raises(ValueError, match=f"non-finite value {bad!r}"):
+            spectrum_to_json(FourierSpectrum(3, "plain", blocks))
 
 
 def test_spectrum_json_validation():
