@@ -178,11 +178,8 @@ def _window_digits(vals, window: str) -> np.ndarray:
 
 
 def _window_mask(obs: Observation, n: int, window: str) -> np.ndarray:
-    """Consistency of every label sigma, read from the window digits of sigma*pi.
-
-    pi moves the touched slots idx into the window in ascending order, so
-    window slot m of sigma*pi holds sigma(idx[m]).
-    """
+    """Consistency read from window digits: pi moves the touched slots idx into
+    the window in ascending order, so window slot m of sigma*pi holds sigma(idx[m])."""
     # surrogate window values: assigned positions, or ranks along the chain
     pairs = (zip(obs.indices, obs.values) if obs.kind == "assignment"
              else ((item, rank) for rank, item in enumerate(obs.items)))
@@ -199,14 +196,13 @@ def reorder_update_condition(
 
     Tests every basis label sigma by the window Lehmer digits of sigma*pi,
     read from the one-line columns pi moves into the window, instead of the
-    full predicate, and rescales in place; the basis is never relabeled.
+    full predicate; the basis is never relabeled.
     """
     window = "front" if obs.kind == "assignment" else "back"
     posterior, p_s = _condition(
         state, obs, encoding, lambda n: _window_mask(obs, n, window)
     )
-    if obs.is_empty:
-        return posterior, p_s, CostReport(window, 0, 0, 0)
     # a circuit relabels by the swaps of seq and uncomputes them afterwards
-    _, seq = reorder_sequence(function_degree(posterior), obs.touched(), f"to_{window}")
-    return posterior, p_s, CostReport(window, len(seq), len(seq), len(obs.touched()))
+    touched = () if obs.is_empty else obs.touched()
+    _, seq = reorder_sequence(function_degree(posterior), touched, f"to_{window}")
+    return posterior, p_s, CostReport(window, len(seq), len(seq), len(touched))

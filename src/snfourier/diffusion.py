@@ -3,8 +3,9 @@
 The kernel stays put with probability p and otherwise moves by a uniformly
 random transposition. It is a class function, so its spectrum is c_lam times
 the identity in every block; applying d steps scales block lam by c_lam^d.
-Eigenvalues are kept as exact rationals until the final float conversion so
-the rational-regime lower bound sees the true denominator of p.
+Eigenvalues stay exact rationals for the zero-eigenvalue test and so that the
+rational-regime lower bound sees the true denominator b of p. The scales and
+both bounds are float powers, whose cost does not depend on d.
 """
 
 from __future__ import annotations
@@ -59,9 +60,22 @@ def kernel_as_function(kernel: DiffusionKernel) -> np.ndarray:
     return q
 
 
+def float_power(base, exponent: int):
+    """base ** exponent in float arithmetic, for an integer exponent >= 1 of any size.
+
+    From 2**53 on every float exponent is even, so the sign follows the
+    parity of the exact exponent; from 2**64 on every float base has reached
+    magnitude 0, 1 or inf, so the exponent is capped there.
+    """
+    if exponent < 2**53:
+        return base**exponent
+    magnitude = np.abs(base) ** float(min(exponent, 2**64))
+    return np.copysign(magnitude, base) if exponent % 2 else magnitude
+
+
 def _step_scales(kernel: DiffusionKernel) -> dict:
     return {
-        lam: float(kernel.eigenvalue(lam) ** kernel.d)
+        lam: float(float_power(float(kernel.eigenvalue(lam)), kernel.d))
         for lam in enumerate_partitions(kernel.n)
     }
 
@@ -132,7 +146,7 @@ def success_probability_lower_bound(
         raise ValueError(f"bound needs p in (0, 1], got {p}")
     exact = Fraction(p)
     if exact > Fraction(1, 2):
-        value = float((2 * exact - 1) ** (2 * d))
+        value = float(float_power(float(2 * exact - 1), 2 * d))
         return DiffusionBound(value, "lazy", False, "constant in n")
     from_float = isinstance(p, float)
     for lam in enumerate_partitions(n):
@@ -142,7 +156,7 @@ def success_probability_lower_bound(
                 f"bound inapplicable: eigenvalue vanishes at {lam.parts}",
             )
     b = exact.denominator
-    value = float(Fraction(4, b * b * n**4) ** d)
+    value = float(float_power(4 / (b * b * n**4), d))
     note = "denominator read from the dyadic float value" if from_float \
         else "exact rational p"
     return DiffusionBound(value, "rational", from_float, note)

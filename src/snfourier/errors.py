@@ -1,14 +1,7 @@
-"""Shared exception types, the tolerances and the checks that apply them, and
-the dense-storage degree guard.
-
-A state a step takes in must have a squared norm within UNIT_NORM_TOL of 1
-(`check_unit_norm`; `checked_state` adds the encoding check). A post-selected
-step divides by sqrt(p_s), its success probability, in `renormalized`, which
-raises AnnihilatedStateError when p_s <= ANNIHILATION_TOL: squared norms that
-small are float noise, not a survivable state.
-"""
-
-import math
+"""Shared exception types, the dense-storage degree guard, and the tolerances
+with the checks that apply them: a step's input state is a unit vector within
+UNIT_NORM_TOL, and a post-selected step whose success probability is at most
+ANNIHILATION_TOL, which is float noise, has left no survivable state."""
 
 import numpy as np
 
@@ -64,7 +57,7 @@ def renormalized(scaled, p_s: float, step: str):
     """Post-select a scaled state: scaled / sqrt(p_s), unless nothing survives."""
     if p_s <= ANNIHILATION_TOL:
         raise AnnihilatedStateError(f"{step} left no surviving amplitude")
-    return scaled / math.sqrt(p_s)
+    return scaled / np.sqrt(p_s)
 
 
 def check_degree(n: int, guard: int | None = None) -> int:

@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .conditioning import Observation, reorder_update_condition
-from .diffusion import DiffusionKernel, apply_diffusion_spectral, \
+from .diffusion import DiffusionKernel, apply_diffusion_spectral, float_power, \
     success_probability_lower_bound
 # no library code calls this; perfbench/spans.py patches it by name
 from .diffusion import apply_diffusion_born
@@ -91,9 +91,10 @@ class EmpiricalInitial:
             raise PlanValidationError("dataset", "empirical dataset must not be empty")
         coerced = []
         for i, (one_line, count) in enumerate(self.entries):
-            if int(count) != count or count < 1:
+            # a float64 holds every integer count up to 2**53 exactly
+            if not 1 <= count <= 2**53 or int(count) != count:
                 raise PlanValidationError(
-                    f"dataset[{i}].count", "count must be an integer >= 1"
+                    f"dataset[{i}].count", "count must be an integer in 1..2**53"
                 )
             try:
                 perm = Permutation(tuple(int(v) for v in one_line))
@@ -292,7 +293,7 @@ def sharpen_map(state: ModelState, m: int) -> tuple[ModelState, float]:
         p_s = 1.0
         amps = state.amplitudes.copy()
     else:
-        powered = state.amplitudes**m
+        powered = float_power(state.amplitudes, m)
         p_s = float(np.sum(powered * powered))
         amps = renormalized(powered, p_s, "sharpening")
     entry = {"step": state.t + 1, "type": "sharpen", "m": int(m),

@@ -64,9 +64,8 @@ def _write_json(obj) -> str:
         )
         return "{" + body + "}"
     if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f":
-        finite = np.isfinite(obj)
-        if not finite.all():
-            format_float(obj[~finite][0])  # raises, naming the first bad value
+        if not np.isfinite(obj).all():
+            format_float(obj[~np.isfinite(obj)][0])  # raises, naming the first bad value
         return "[" + ", ".join(f"{x:.17g}" for x in obj.tolist()) + "]"
     if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ", ".join(_write_json(value) for value in obj) + "]"

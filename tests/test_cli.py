@@ -2,10 +2,16 @@
 
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import snfourier
 from snfourier import cli
 from snfourier.cli import main
 from snfourier.partitions import irrep_dimension
@@ -134,6 +140,39 @@ def test_run_annihilated_state(tmp_path, capsys):
     }))
     assert run_cli("run", "--plan", str(plan), "--out", str(tmp_path / "o")) == 4
     assert capsys.readouterr().err.startswith("error:")
+
+
+def _steps(d):
+    return [{"type": "diffusion", "p": "1/3", "d": d}]
+
+
+def _huge_count(count):
+    return {"kind": "empirical", "dataset": [{"one_line": [1, 2, 3], "count": count}]}
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("plan", [
+    {"n": 3, "steps": _steps(10**8)},
+    {"n": 3, "steps": _steps(2**64 + 1)},
+    {"n": 3, "steps": _steps(10**400)},
+    {"n": 3, "encoding": "born", "initial": _huge_count(10**400)},
+    {"n": 3, "sharpening": 10**400},
+], ids=["d=10**8", "d=2**64+1", "d=10**400", "count=10**400", "sharpening=10**400"])
+def test_run_with_huge_plan_integers_exits_cleanly(tmp_path, plan):
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    src = str(Path(snfourier.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "snfourier.cli", "run", "--plan", "plan.json",
+         "--out", "out"],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=30, preexec_fn=_cap_address_space,
+    )
+    assert done.returncode in (0, 2)
+    assert len(done.stderr.splitlines()) == (done.returncode != 0)
+    assert "Traceback" not in done.stderr
 
 
 def test_verify_passes(capsys):

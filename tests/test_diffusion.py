@@ -8,8 +8,8 @@ import pytest
 
 import oracles
 from snfourier.diffusion import DiffusionKernel, apply_diffusion_born, \
-    apply_diffusion_spectral, kernel_as_function, success_probability_lower_bound, \
-    success_probability_t0
+    apply_diffusion_spectral, float_power, kernel_as_function, \
+    success_probability_lower_bound, success_probability_t0
 from snfourier.errors import AnnihilatedStateError
 from snfourier.partitions import Partition, diffusion_eigenvalue, \
     enumerate_partitions, irrep_dimension
@@ -74,6 +74,32 @@ def test_p1_leaves_spectrum_alone():
     assert ps == pytest.approx(1.0, abs=1e-12)
     for lam in enumerate_partitions(n):
         assert np.allclose(out.blocks[lam], spec.blocks[lam], atol=1e-12)
+
+
+def test_float_power_takes_any_integer_exponent():
+    base = np.array([-1.0, -0.75, -0.0, 0.0, 0.3, 1.0])
+    for exponent in (1, 2, 3, 7, 2**53 - 1):
+        assert np.array_equal(float_power(base, exponent), base**exponent)
+    # past 2**53 the sign follows the exact parity, not the rounded float
+    assert np.array_equal(float_power(base, 2**64 + 1),
+                          [-1.0, -0.0, -0.0, 0.0, 0.0, 1.0])
+    for even in (2**64, 10**400):
+        assert np.array_equal(float_power(base, even),
+                              [1.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+    assert float_power(-1.0, 10**400 + 1) == -1.0
+    assert float_power(0.5, 10**400) == 0.0
+
+
+def test_sign_block_keeps_the_parity_of_any_walk_length():
+    # p = 0 at n = 3: eigenvalues 1, 0 and -1, so only d's parity matters
+    spec = gft_forward(random_unit_state(3), "unitary")
+    for short, long in ((1, 2**64 + 1), (2, 2**64)):
+        out, ps = apply_diffusion_spectral(spec, DiffusionKernel(p=0, n=3, d=short))
+        out_long, ps_long = apply_diffusion_spectral(
+            spec, DiffusionKernel(p=0, n=3, d=long))
+        assert ps_long == ps
+        for lam, block in out.blocks.items():
+            assert np.array_equal(out_long.blocks[lam], block)
 
 
 def test_spectral_route_equals_direct_convolution():

@@ -296,6 +296,12 @@ def test_plan_json_minimal_defaults():
             ' "dataset": [{"one_line": [1, 2, 3], "count": 0}]}}',
             "initial.dataset[0].count",
         ),
+        # a float64 holds integer counts exactly only up to 2**53
+        (
+            '{"n": 3, "initial": {"kind": "empirical",'
+            ' "dataset": [{"one_line": [1, 2, 3], "count": 9007199254740993}]}}',
+            "initial.dataset[0].count",
+        ),
         (
             '{"n": 3, "encoding": "born", "initial": {"kind": "empirical",'
             ' "dataset": [{"one_line": [1, 2], "count": 1}]}}',
@@ -426,7 +432,7 @@ def test_plan_reader_raises_only_plan_errors(doc):
 
 
 @settings(max_examples=200, deadline=None)
-@given(doc=_plan_schema(st.nothing(), 0) | faulty_plans(ODD_VALUES))
+@given(doc=_plan_schema(st.nothing(), 0) | faulty_plans(ODD_VALUES + [2**64, 10**400]))
 def test_run_exits_only_with_contract_codes(doc):
     with tempfile.TemporaryDirectory() as tmp:
         plan = Path(tmp) / "plan.json"
