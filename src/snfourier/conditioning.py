@@ -202,7 +202,7 @@ def reorder_update_condition(
     posterior, p_s = _condition(
         state, obs, encoding, lambda n: _window_mask(obs, n, window)
     )
-    # a circuit relabels by the swaps of seq and uncomputes them afterwards
     touched = () if obs.is_empty else obs.touched()
+    # a circuit relabels by the swaps of seq and uncomputes them afterwards
     _, seq = reorder_sequence(function_degree(posterior), touched, f"to_{window}")
     return posterior, p_s, CostReport(window, len(seq), len(seq), len(touched))

@@ -61,14 +61,12 @@ def kernel_as_function(kernel: DiffusionKernel) -> np.ndarray:
 
 
 def float_power(base, exponent: int):
-    """base ** exponent in float arithmetic, for an integer exponent >= 1 of any size.
-
-    From 2**53 on every float exponent is even, so the sign follows the
-    parity of the exact exponent; from 2**64 on every float base has reached
-    magnitude 0, 1 or inf, so the exponent is capped there.
-    """
+    """base ** exponent in floats, for an integer exponent >= 1 of any size."""
     if exponent < 2**53:
         return base**exponent
+    # from 2**53 on every float exponent is even, so the sign follows the exact
+    # exponent's parity; from 2**64 on every float base has reached magnitude
+    # 0, 1 or inf, so the exponent is capped there
     magnitude = np.abs(base) ** float(min(exponent, 2**64))
     return np.copysign(magnitude, base) if exponent % 2 else magnitude
 
