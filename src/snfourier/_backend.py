@@ -1,5 +1,5 @@
-"""Hot kernels in numpy: batch ranking of one-line forms and direct group
-convolution, plus the cached rank-order tables they share.
+"""Hot kernels in numpy: batch ranking of one-line forms, plus the cached
+rank-order tables that it and transform.convolve read.
 """
 
 import importlib.util
@@ -93,14 +93,3 @@ def encode_batch(one_lines):
         ranks += weights[i] * np.sum(arr[:, i + 1:] < arr[:, i : i + 1], axis=1)
     return ranks
 
-
-def convolve_direct(q, h, n):
-    """Direct-space group convolution (q * h)(sigma) = sum q(sigma tau^-1) h(tau)."""
-    q = np.ascontiguousarray(q, dtype=np.float64)
-    h = np.ascontiguousarray(h, dtype=np.float64)
-    perms0 = all_perms0(n)
-    inv0 = all_inverses0(n)
-    out = np.empty(perms0.shape[0])
-    for s in range(perms0.shape[0]):
-        out[s] = float(np.dot(q[encode_batch(perms0[s][inv0])], h))
-    return out

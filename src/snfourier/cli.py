@@ -1,5 +1,8 @@
 """Command-line front end: run | verify | spectrum | sample.
 
+Each command parses its arguments, calls the library and returns through
+_emit, which writes once every text is built: a failing command writes no file.
+
 Exit codes are part of the contract: 0 success, 1 verify-battery failure,
 2 input/validation problems, 3 degree-guard violations or an allocation that
 ran out of memory, 4 an annihilated state. Errors print a single line to
@@ -18,7 +21,7 @@ from .errors import AnnihilatedStateError, DegreeGuardError, PlanValidationError
     check_degree
 from .pipeline import run_plan, sample_computational, sample_fourier
 from .serialize import (
-    format_float,
+    fourier_distribution_to_csv,
     fourier_distribution_to_json,
     function_from_csv,
     ledger_to_jsonl,
@@ -29,12 +32,18 @@ from .serialize import (
     samples_to_csv,
     spectrum_to_json,
 )
-from .transform import function_degree, gft_forward
+from .transform import NORMALIZATIONS, function_degree, gft_forward
 from .verify import format_table, run_battery
 
 
-def _write(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8", newline="\n")
+def _emit(out: str, files: dict, note: str = "") -> int:
+    """Write each {name: text} entry into the directory out, then say so."""
+    directory = Path(out)
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (directory / name).write_text(text, encoding="utf-8", newline="\n")
+    print(f"wrote {' '.join(files)}{note} to {directory}")
+    return 0
 
 
 def _load_plan(args):
@@ -49,15 +58,12 @@ def _load_plan(args):
 def _cmd_run(args) -> int:
     plan = _load_plan(args)
     state, report = run_plan(plan)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write(out / "posterior.csv", posterior_to_csv(report.posterior))
-    _write(out / "spectrum.json",
-           spectrum_to_json(gft_forward(state.amplitudes, args.normalization)))
-    _write(out / "ledger.jsonl", ledger_to_jsonl(report.ledger))
-    _write(out / "report.json", report_to_json(plan, report))
-    print(f"wrote posterior.csv spectrum.json ledger.jsonl report.json to {out}")
-    return 0
+    return _emit(args.out, {
+        "posterior.csv": posterior_to_csv(report.posterior),
+        "spectrum.json": spectrum_to_json(gft_forward(state.amplitudes, args.normalization)),
+        "ledger.jsonl": ledger_to_jsonl(report.ledger),
+        "report.json": report_to_json(plan, report),
+    })
 
 
 def _cmd_verify(args) -> int:
@@ -68,34 +74,16 @@ def _cmd_verify(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     values = function_from_csv(Path(args.input).read_text(encoding="utf-8"))
-    n = function_degree(values)
-    check_degree(n, args.n_guard)
+    check_degree(function_degree(values), args.n_guard)
     spectrum = gft_forward(values, args.normalization)
-    if args.normalization == "unitary":
-        energies = spectrum.energies()
-    else:
-        energies = gft_forward(values, "unitary").energies()
-    total = sum(energies.values())
-    if total <= 0:
-        raise ValueError("the zero function has no sampling distribution")
-    distribution = {lam: energy / total for lam, energy in energies.items()}
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write(out / "spectrum.json", spectrum_to_json(spectrum))
-    if args.format == "json":
-        _write(out / "energies.json", fourier_distribution_to_json(distribution))
-        written = "spectrum.json energies.json"
-    else:
-        lines = ["partition,probability"]
-        lines += [
-            f"{' '.join(str(part) for part in lam.parts)},{format_float(prob)}"
-            for lam, prob in distribution.items()
-        ]
-        _write(out / "energies.csv", "\n".join(lines) + "\n")
-        written = "spectrum.json energies.csv"
-    print(f"wrote {written} to {out}")
-    return 0
+    unitary = (spectrum if args.normalization == "unitary"
+               else gft_forward(values, "unitary"))
+    write_energies = (fourier_distribution_to_json if args.format == "json"
+                      else fourier_distribution_to_csv)
+    return _emit(args.out, {
+        "spectrum.json": spectrum_to_json(spectrum),
+        f"energies.{args.format}": write_energies(unitary.sampling_distribution()),
+    })
 
 
 def _cmd_sample(args) -> int:
@@ -103,19 +91,14 @@ def _cmd_sample(args) -> int:
         raise ValueError(f"count must be >= 1, got {args.count}")
     plan = _load_plan(args)
     state, _ = run_plan(plan)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.mode == "computational":
         draws = sample_computational(state, args.count, seed=plan.seed)
-        _write(out / "samples.csv", samples_to_csv(draws))
-        written = "samples.csv"
+        files = {"samples.csv": samples_to_csv(draws)}
     else:
         draws, exact = sample_fourier(state, args.count, seed=plan.seed)
-        _write(out / "samples.csv", partition_samples_to_csv(draws))
-        _write(out / "distribution.json", fourier_distribution_to_json(exact))
-        written = "samples.csv distribution.json"
-    print(f"wrote {written} ({args.count} draws) to {out}")
-    return 0
+        files = {"samples.csv": partition_samples_to_csv(draws),
+                 "distribution.json": fourier_distribution_to_json(exact)}
+    return _emit(args.out, files, f" ({args.count} draws)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -136,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute a plan and write its artifacts")
     common(run_p, plan=True)
-    run_p.add_argument("--normalization", choices=("plain", "unitary"),
+    run_p.add_argument("--normalization", choices=NORMALIZATIONS,
                        default="unitary", help="normalization of spectrum.json")
     run_p.set_defaults(handler=_cmd_run)
 
@@ -152,7 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     spectrum_p.add_argument("--input", required=True, help="rank,value CSV path")
     spectrum_p.add_argument("--out", required=True, help="output directory")
-    spectrum_p.add_argument("--normalization", choices=("plain", "unitary"),
+    spectrum_p.add_argument("--normalization", choices=NORMALIZATIONS,
                             default="unitary")
     spectrum_p.add_argument("--format", choices=("json", "csv"), default="json",
                             help="format of the energy distribution file")

@@ -145,16 +145,20 @@ def success_probability_lower_bound(
     exact = Fraction(p)
     if exact > Fraction(1, 2):
         value = float(float_power(float(2 * exact - 1), 2 * d))
-        return DiffusionBound(value, "lazy", False, "constant in n")
-    from_float = isinstance(p, float)
-    for lam in enumerate_partitions(n):
-        if diffusion_eigenvalue(lam, exact) == 0:
-            return DiffusionBound(
-                None, "rational", from_float,
-                f"bound inapplicable: eigenvalue vanishes at {lam.parts}",
-            )
-    b = exact.denominator
-    value = float(float_power(4 / (b * b * n**4), d))
-    note = "denominator read from the dyadic float value" if from_float \
-        else "exact rational p"
-    return DiffusionBound(value, "rational", from_float, note)
+        regime, from_float, note = "lazy", False, "constant in n"
+    else:
+        regime, from_float = "rational", isinstance(p, float)
+        for lam in enumerate_partitions(n):
+            if diffusion_eigenvalue(lam, exact) == 0:
+                return DiffusionBound(
+                    None, regime, from_float,
+                    f"bound inapplicable: eigenvalue vanishes at {lam.parts}",
+                )
+        b = exact.denominator
+        value = float(float_power(4 / (b * b * n**4), d))
+        note = "denominator read from the dyadic float value" if from_float \
+            else "exact rational p"
+    if value == 0.0:
+        # both regimes' exact bounds are positive, so a zero value is an underflow
+        note += "; the positive bound underflows double precision to 0"
+    return DiffusionBound(value, regime, from_float, note)

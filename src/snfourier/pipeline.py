@@ -28,7 +28,6 @@ from .diffusion import DiffusionKernel, apply_diffusion_spectral, float_power, \
 from .diffusion import apply_diffusion_born
 from .errors import ENCODINGS, PlanValidationError, check_degree, check_unit_norm, \
     checked_state, renormalized
-from .partitions import Partition, enumerate_partitions
 from .perms import Permutation, all_one_lines, lehmer_encode, lehmer_rank
 from .transform import function_degree, gft_forward, gft_inverse
 
@@ -213,16 +212,18 @@ class RunReport:
     amplification: dict
 
 
+def encode_distribution(h: np.ndarray, encoding: str) -> np.ndarray:
+    """Unit state of a probability vector h: sqrt(h) for born, h/||h|| otherwise."""
+    return np.sqrt(h) if encoding == "born" else h / np.linalg.norm(h)
+
+
 def _initial_amplitudes(plan: ExperimentPlan) -> np.ndarray:
     if plan.initial == "identity":
         amps = np.zeros(math.factorial(plan.n))
         amps[0] = 1.0
         return amps
     counts = plan.initial.counts_vector(plan.n)
-    h = counts / counts.sum()
-    if plan.encoding == "born":
-        return np.sqrt(h)
-    return h / np.linalg.norm(h)
+    return encode_distribution(counts / counts.sum(), plan.encoding)
 
 
 def run_plan(plan: ExperimentPlan) -> tuple[ModelState, RunReport]:
@@ -266,6 +267,8 @@ def run_plan(plan: ExperimentPlan) -> tuple[ModelState, RunReport]:
     else:
         lower_bound = math.prod(bounds, start=1.0)
         note = "diffusion bounds times measured conditioning probabilities"
+        if lower_bound == 0.0:
+            note += "; the positive product underflows double precision to 0"
     report = RunReport(
         p_total=p_total,
         lower_bound=lower_bound,
@@ -320,15 +323,10 @@ def sample_fourier(
 
     Returns (draws, exact distribution keyed by Partition).
     """
-    spectrum = gft_forward(state.amplitudes, "unitary")
-    lams = enumerate_partitions(state.n)
-    energies = spectrum.energies()
-    weights = np.array([energies[lam] for lam in lams])
-    weights = np.maximum(weights, 0.0)
-    weights /= weights.sum()
+    exact = gft_forward(state.amplitudes, "unitary").sampling_distribution()
+    lams = list(exact)
     rng = np.random.default_rng(seed)
-    picks = rng.choice(len(lams), size=int(count), p=weights)
-    exact = {lam: float(w) for lam, w in zip(lams, weights)}
+    picks = rng.choice(len(lams), size=int(count), p=list(exact.values()))
     return [lams[i] for i in picks], exact
 
 

@@ -169,6 +169,13 @@ def fourier_distribution_to_json(exact: dict) -> str:
     return _write_json(ordered) + "\n"
 
 
+def fourier_distribution_to_csv(exact: dict) -> str:
+    n = next(iter(exact)).weight
+    rows = [f"{' '.join(map(str, lam.parts))},{format_float(exact[lam])}"
+            for lam in enumerate_partitions(n)]
+    return "\n".join(["partition,probability", *rows]) + "\n"
+
+
 def ledger_to_jsonl(ledger) -> str:
     return "".join(_write_json(entry) + "\n" for entry in ledger)
 

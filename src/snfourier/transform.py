@@ -61,6 +61,15 @@ class FourierSpectrum:
     def total_energy(self) -> float:
         return sum(self.energies().values())
 
+    def sampling_distribution(self) -> dict[Partition, float]:
+        """Weak Fourier sampling: Pr(lam) = block energy / total energy."""
+        if self.normalization != "unitary":
+            raise ValueError("the sampling distribution needs a unitary spectrum")
+        total = self.total_energy()
+        if total <= 0:
+            raise ValueError("the zero function has no sampling distribution")
+        return {lam: energy / total for lam, energy in self.energies().items()}
+
 
 def delta_spectrum(n: int, normalization: str = "unitary") -> FourierSpectrum:
     """Spectrum of the point mass at the identity, in closed form.
@@ -137,7 +146,12 @@ def convolve(q, h) -> np.ndarray:
     n = function_degree(qv)
     if len(hv) != len(qv):
         raise ValueError("convolution operands must share the same degree")
-    return _backend.convolve_direct(qv, hv, n)
+    # sigma[inv0] holds sigma tau^-1 for every tau, in rank order of tau
+    inv0 = _backend.all_inverses0(n)
+    return np.array([
+        float(np.dot(qv[_backend.encode_batch(sigma[inv0])], hv))
+        for sigma in _backend.all_perms0(n)
+    ])
 
 
 def convolve_spectra(qhat: FourierSpectrum, hhat: FourierSpectrum) -> FourierSpectrum:

@@ -38,7 +38,7 @@ from .perms import (
     lehmer_rank,
     lehmer_unrank,
 )
-from .pipeline import ModelState, sample_fourier
+from .pipeline import ModelState, encode_distribution, sample_fourier
 from .transform import convolve, convolve_spectra, delta_spectrum, gft_forward
 
 
@@ -183,7 +183,7 @@ def _check_claim3(n_max, rng):
             h = _random_probability(rng, fact)
             obs = _random_observation(rng, n)
             formula = success_probability_conditioning(h, obs)
-            _, measured = bayes_update(h / np.linalg.norm(h), obs, "amplitude")
+            _, measured = bayes_update(encode_distribution(h, "amplitude"), obs, "amplitude")
             worst = max(worst, abs(formula - measured))
     return CheckResult(name, worst <= 1e-10, f"max |formula - measured| = {worst:.2e}")
 
@@ -237,7 +237,7 @@ def _check_reorder_equivalence(n_max, rng):
             obs = _random_observation(rng, n)
             encoding = "amplitude" if rng.random() < 0.5 else "born"
             h = _random_probability(rng, fact)
-            psi = h / np.linalg.norm(h) if encoding == "amplitude" else np.sqrt(h)
+            psi = encode_distribution(h, encoding)
             direct, ps_direct = bayes_update(psi, obs, encoding)
             routed, ps_routed, cost = reorder_update_condition(psi, obs, encoding)
             worst = max(worst, float(np.max(np.abs(direct - routed))))

@@ -9,6 +9,7 @@ import oracles
 from snfourier import _backend
 from snfourier.partitions import enumerate_partitions
 from snfourier.perms import Permutation, ranks_after_sequence
+from snfourier.transform import convolve
 from snfourier.yor import irrep_of, irrep_stack
 
 RNG = np.random.default_rng(41)
@@ -64,12 +65,11 @@ def test_irrep_stack_matches_irrep_of(n):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_convolve_direct_matches_oracle(n):
+def test_convolve_matches_oracle(n):
     fact = math.factorial(n)
     q = oracles.random_probability(RNG, fact)
     h = RNG.standard_normal(fact)
-    assert np.allclose(_backend.convolve_direct(q, h, n),
-                       oracles.convolve_oracle(q, h, n), atol=1e-12)
+    assert np.allclose(convolve(q, h), oracles.convolve_oracle(q, h, n), atol=1e-12)
 
 
 def test_all_perms0_matches_lex_order():

@@ -15,7 +15,8 @@ import snfourier
 from snfourier import cli
 from snfourier.cli import main
 from snfourier.partitions import irrep_dimension
-from snfourier.serialize import function_to_csv
+from snfourier.pipeline import run_plan
+from snfourier.serialize import function_to_csv, plan_from_json
 from snfourier.transform import gft_forward
 
 PLAN_N3 = """
@@ -75,9 +76,12 @@ def test_run_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "gft_forward", exhausted)
     plan = tmp_path / "plan.json"
     plan.write_text(PLAN_N3)
-    assert run_cli("run", "--plan", str(plan), "--out", str(tmp_path / "out")) == 3
+    out = tmp_path / "out"
+    assert run_cli("run", "--plan", str(plan), "--out", str(out)) == 3
     err = capsys.readouterr().err
     assert err == f"error: out of memory: {message}\n"
+    # posterior.csv is built before the spectrum fails, but never written
+    assert list(out.glob("*")) == []
 
 
 def test_run_parse_error_names_field(tmp_path, capsys):
@@ -299,6 +303,34 @@ def test_sample_fourier_distribution(tmp_path):
     lines = (out / "samples.csv").read_text().strip().split("\n")
     assert lines[0] == "draw,partition"
     assert len(lines) == 51
+
+
+PLAN_N4_BORN = json.dumps({
+    "n": 4, "encoding": "born", "seed": 3,
+    "initial": {"kind": "empirical", "dataset": [
+        {"one_line": [2, 1, 3, 4], "count": 2}, {"one_line": [4, 3, 1, 2], "count": 1}]},
+    "steps": [{"type": "diffusion", "p": 0.6, "d": 2},
+              {"type": "conditioning",
+               "observation": {"kind": "ranking", "items": [2, 3], "s": 0.8}}],
+    "sharpening": 2,
+})
+
+
+@pytest.mark.parametrize("plan_text", [PLAN_N3, PLAN_N4_BORN], ids=["n3", "n4-born"])
+@pytest.mark.parametrize("normalization", ["unitary", "plain"])
+def test_fourier_sampling_and_spectrum_share_one_distribution(
+        tmp_path, plan_text, normalization):
+    plan = tmp_path / "plan.json"
+    plan.write_text(plan_text)
+    assert run_cli("sample", "--plan", str(plan), "--out", str(tmp_path / "s"),
+                   "--mode", "fourier", "--count", "10") == 0
+    state, _ = run_plan(plan_from_json(plan_text))
+    csv_path = tmp_path / "state.csv"
+    csv_path.write_text(function_to_csv(state.amplitudes))
+    assert run_cli("spectrum", "--input", str(csv_path), "--out", str(tmp_path / "e"),
+                   "--normalization", normalization) == 0
+    sampled = (tmp_path / "s" / "distribution.json").read_bytes()
+    assert sampled == (tmp_path / "e" / "energies.json").read_bytes()
 
 
 def test_sample_count_validation(tmp_path, capsys):

@@ -160,6 +160,19 @@ def test_lower_bound_rational_regime():
     assert f.value is not None and 0.0 < f.value < 1e-10
 
 
+def test_lower_bound_says_when_it_underflows():
+    kept = success_probability_lower_bound(7, Fraction(1, 3), 80)
+    assert 0.0 < kept.value < 1e-298
+    assert kept.note == "exact rational p"
+    for p, d in ((Fraction(1, 3), 100), (0.7, 500)):
+        bound = success_probability_lower_bound(7, p, d)
+        assert bound.value == 0.0
+        assert "underflows double precision" in bound.note
+    assert success_probability_lower_bound(6, 0.9, 2).note == "constant in n"
+    # the note costs nothing however large d is
+    assert "underflows" in success_probability_lower_bound(3, Fraction(1, 3), 10**400).note
+
+
 def test_lower_bound_inapplicable_when_eigenvalue_vanishes():
     # p = 1/2 kills the sign block
     b = success_probability_lower_bound(4, Fraction(1, 2), 1)

@@ -171,6 +171,16 @@ def test_p_total_dominates_paper_bound():
     assert count >= 25
 
 
+def test_lower_bound_note_names_an_underflowed_product():
+    _, report = run_plan(ExperimentPlan(n=3, steps=(DiffusionStep(p=0.7, d=500),)))
+    assert report.lower_bound == 0.0
+    assert "underflows double precision" in report.lower_bound_note
+    _, report = run_plan(ExperimentPlan(n=3, steps=(DiffusionStep(p=0.7, d=5),)))
+    assert report.lower_bound == pytest.approx(0.4**10, rel=1e-12)
+    assert report.lower_bound_note == \
+        "diffusion bounds times measured conditioning probabilities"
+
+
 def test_born_conditioning_only_plan():
     n = 4
     obs = Observation(kind="ranking", items=(2, 4, 1), s=0.8)

@@ -98,6 +98,24 @@ def test_spectrum_validation():
         FourierSpectrum(n, "euclidean", good)
 
 
+def test_sampling_distribution_is_energy_over_total():
+    h = RNG.standard_normal(24)
+    spec = gft_forward(h, "unitary")
+    dist = spec.sampling_distribution()
+    total = float(h @ h)
+    assert tuple(dist) == enumerate_partitions(4)
+    for lam, prob in dist.items():
+        assert prob == pytest.approx(spec.energies()[lam] / total, abs=1e-15)
+    assert sum(dist.values()) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_sampling_distribution_rejects_plain_spectra_and_zero_function():
+    with pytest.raises(ValueError, match="unitary"):
+        gft_forward(RNG.standard_normal(6), "plain").sampling_distribution()
+    with pytest.raises(ValueError, match="the zero function has no sampling distribution"):
+        gft_forward(np.zeros(6), "unitary").sampling_distribution()
+
+
 def test_qft_n2_frozen():
     expected = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
     assert np.allclose(qft_matrix(2), expected, atol=1e-15)
