@@ -1,9 +1,10 @@
 """Lazy random-transposition diffusion and its success-probability accounting.
 
-The kernel stays put with probability p and otherwise moves by a uniformly
-random transposition. It is a class function, so its spectrum is c_lam times
-the identity in every block; applying d steps scales block lam by c_lam^d.
-Eigenvalues stay exact rationals for the zero-eigenvalue test and so that the
+A DiffusionStep stays put with probability p and otherwise moves by a
+uniformly random transposition, d times over; the degree n is the state's.
+The kernel is a class function, so its spectrum is c_lam times the identity
+in every block; applying d steps scales block lam by c_lam^d. Eigenvalues
+stay exact rationals for the zero-eigenvalue test and so that the
 rational-regime lower bound sees the true denominator b of p. The scales and
 both bounds are float powers, whose cost does not depend on d.
 """
@@ -18,7 +19,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import check_unit_norm, renormalized
+from .errors import PlanValidationError, check_unit_norm, renormalized
 from .partitions import diffusion_eigenvalue, enumerate_partitions
 from .perms import Permutation, lehmer_encode, lehmer_rank
 from .transform import FourierSpectrum
@@ -27,30 +28,37 @@ Probability = Union[float, Fraction, int]
 
 
 @dataclass(frozen=True)
-class DiffusionKernel:
-    """Stay probability p, degree n, number of walk steps d."""
+class DiffusionStep:
+    """Stay probability p and number of walk steps d; errors name the field.
+
+    A Fraction p keeps the spectral bound exact (rational regime).
+    """
 
     p: Probability
-    n: int
     d: int = 1
 
     def __post_init__(self):
         if not 0 <= self.p <= 1:
-            raise ValueError(f"stay probability must lie in [0, 1], got {self.p}")
-        if self.n < 2:
-            raise ValueError("diffusion needs n >= 2")
+            raise PlanValidationError(
+                "p", f"stay probability must lie in [0, 1], got {self.p}"
+            )
         if self.d < 1:
-            raise ValueError("step count must be >= 1")
+            raise PlanValidationError("d", "step count must be an integer >= 1")
 
     def eigenvalue(self, lam) -> Fraction:
         return diffusion_eigenvalue(lam, self.p)
 
 
-def kernel_as_function(kernel: DiffusionKernel) -> np.ndarray:
+def _check_walk_degree(n: int) -> None:
+    if n < 2:
+        raise ValueError("diffusion needs n >= 2")
+
+
+def kernel_as_function(step: DiffusionStep, n: int) -> np.ndarray:
     """Rank-indexed kernel values: p at e, (1-p)/C(n,2) at transpositions."""
-    n = kernel.n
+    _check_walk_degree(n)
     q = np.zeros(math.factorial(n))
-    p = float(kernel.p)
+    p = float(step.p)
     q[0] = p
     weight = (1.0 - p) / math.comb(n, 2)
     for i, j in combinations(range(1, n + 1), 2):
@@ -71,28 +79,27 @@ def float_power(base, exponent: int):
     return np.copysign(magnitude, base) if exponent % 2 else magnitude
 
 
-def _step_scales(kernel: DiffusionKernel) -> dict:
+def _step_scales(step: DiffusionStep, n: int) -> dict:
+    _check_walk_degree(n)
     return {
-        lam: float(float_power(float(kernel.eigenvalue(lam)), kernel.d))
-        for lam in enumerate_partitions(kernel.n)
+        lam: float(float_power(float(step.eigenvalue(lam)), step.d))
+        for lam in enumerate_partitions(n)
     }
 
 
 def apply_diffusion_spectral(
-    spectrum: FourierSpectrum, kernel: DiffusionKernel
+    spectrum: FourierSpectrum, step: DiffusionStep
 ) -> tuple[FourierSpectrum, float]:
     """Scale each block by c_lam^d and renormalize; returns (state, p_s).
 
     p_s is the post-selection success probability sum_lam c_lam^(2d) of the
     block energies, measured before renormalization.
     """
-    if kernel.n != spectrum.n:
-        raise ValueError("kernel degree and spectrum degree differ")
     if spectrum.normalization != "unitary":
         raise ValueError("diffusion expects a unitary-normalized spectrum")
     energies = spectrum.energies()
     check_unit_norm(sum(energies.values()))
-    scales = _step_scales(kernel)
+    scales = _step_scales(step, spectrum.n)
     p_s = sum(scales[lam] ** 2 * e for lam, e in energies.items())
     factors = renormalized(np.array([scales[lam] for lam in energies]), p_s, "diffusion")
     blocks = {lam: f * spectrum.blocks[lam] for lam, f in zip(energies, factors)}
@@ -100,7 +107,7 @@ def apply_diffusion_spectral(
 
 
 def apply_diffusion_born(
-    spectrum: FourierSpectrum, kernel: DiffusionKernel
+    spectrum: FourierSpectrum, step: DiffusionStep
 ) -> tuple[FourierSpectrum, float]:
     """Diffuse square-root amplitudes; returns (state, renormalization).
 
@@ -108,7 +115,7 @@ def apply_diffusion_born(
     the norm of the scaled state, which matches the direct-space norm of the
     convolved amplitudes.
     """
-    out, p_s = apply_diffusion_spectral(spectrum, kernel)
+    out, p_s = apply_diffusion_spectral(spectrum, step)
     return out, math.sqrt(p_s)
 
 

@@ -1,11 +1,13 @@
 """Statevector execution of diffusion/conditioning plans over S_n.
 
-A plan alternates diffusion and conditioning steps on a unit state vector
-indexed by Lehmer rank. Non-unitary steps are applied as exact sub-blocks:
-each multiplies the state, records its success probability in the ledger,
-and renormalizes, which matches post-selecting an ancilla register without
-ever materializing one. The product of ledger entries therefore equals the
-squared norm the unrenormalized pipeline would reach.
+A plan alternates diffusion steps (a DiffusionStep) and conditioning steps
+(an Observation) on a unit state vector indexed by Lehmer rank; each step is
+the object its layer applies. Non-unitary steps are applied as exact
+sub-blocks: each multiplies the state and renormalizes, which matches
+post-selecting an ancilla register without ever materializing one. run_plan
+alone records each step's success probability in the ledger, so the product
+of ledger entries equals the squared norm the unrenormalized pipeline would
+reach.
 
 Sampling uses NumPy's default_rng (PCG64) with a 64-bit seed; the generator
 identity is part of the output contract, so seeded runs are reproducible
@@ -15,14 +17,13 @@ bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
 from .conditioning import Observation, reorder_update_condition
-from .diffusion import DiffusionKernel, apply_diffusion_spectral, float_power, \
+from .diffusion import DiffusionStep, apply_diffusion_spectral, float_power, \
     success_probability_lower_bound
 # no library code calls this; perfbench/spans.py patches it by name
 from .diffusion import apply_diffusion_born
@@ -34,12 +35,10 @@ from .transform import function_degree, gft_forward, gft_inverse
 
 @dataclass
 class ModelState:
-    """Unit state vector over Lehmer ranks plus its success-probability ledger."""
+    """Unit state vector over Lehmer ranks and the encoding it stores."""
 
     amplitudes: np.ndarray
     encoding: str
-    t: int = 0
-    ledger: list = field(default_factory=list)
 
     def __post_init__(self):
         self.amplitudes = checked_state(self.amplitudes, self.encoding)
@@ -54,26 +53,6 @@ class ModelState:
         a = np.maximum(self.amplitudes, 0.0)
         p = a if self.encoding == "amplitude" else a * a
         return p / p.sum()
-
-
-@dataclass(frozen=True)
-class DiffusionStep:
-    # A Fraction here keeps the spectral bound exact (rational regime).
-    p: Union[float, Fraction]
-    d: int = 1
-
-    def __post_init__(self):
-        if not 0 <= self.p <= 1:
-            raise PlanValidationError(
-                "p", f"stay probability must lie in [0, 1], got {self.p}"
-            )
-        if self.d < 1:
-            raise PlanValidationError("d", "step count must be an integer >= 1")
-
-
-@dataclass(frozen=True)
-class ConditioningStep:
-    observation: Observation
 
 
 @dataclass(frozen=True)
@@ -119,7 +98,10 @@ class EmpiricalInitial:
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """A whole plan; each rule raises PlanValidationError naming its field."""
+    """A whole plan; each rule raises PlanValidationError naming its field.
+
+    Each step is a DiffusionStep or an Observation to condition on.
+    """
 
     n: int
     steps: tuple = ()
@@ -137,9 +119,9 @@ class ExperimentPlan:
         if not 0 <= self.seed < 2**64:
             raise PlanValidationError("seed", "seed must be an unsigned 64-bit integer")
         for i, step in enumerate(self.steps):
-            if isinstance(step, ConditioningStep):
+            if isinstance(step, Observation):
                 try:
-                    step.observation.check_degree(self.n)
+                    step.check_degree(self.n)
                 except PlanValidationError as err:
                     raise err.under(f"steps[{i}].observation") from None
             elif not isinstance(step, DiffusionStep):
@@ -174,9 +156,17 @@ class AmplificationCost(NamedTuple):
     """Order-of-magnitude iteration estimate; prefactors are a convention."""
 
     mode: str
-    units: int
+    units: Optional[int]
     expected_repeats: Optional[float]
     note: str
+
+
+_UNDERFLOW_NOTE = "; the positive product underflows double precision"
+
+_AMPLIFICATION_NOTES = {
+    "grover": "pi/4 prefactor and repeat count are conventions, not tight",
+    "fixed_point": "ln(2/delta) prefactor is a convention, not tight",
+}
 
 
 def amplification_cost(
@@ -185,21 +175,32 @@ def amplification_cost(
     """Iterations to boost a success probability, by the standard estimates."""
     if not 0 < p_success <= 1:
         raise ValueError(f"success probability must lie in (0, 1], got {p_success}")
-    if mode == "grover":
-        units = math.ceil((math.pi / 4.0) / math.sqrt(p_success))
-        return AmplificationCost(
-            "grover", units, 1.0 / p_success,
-            "pi/4 prefactor and repeat count are conventions, not tight",
-        )
-    if mode == "fixed_point":
-        if not 0 < delta < 1:
-            raise ValueError(f"tolerance must lie in (0, 1), got {delta}")
-        units = math.ceil(math.log(2.0 / delta) / math.sqrt(p_success))
-        return AmplificationCost(
-            "fixed_point", units, None,
-            "ln(2/delta) prefactor is a convention, not tight",
-        )
-    raise ValueError(f"mode must be grover|fixed_point, got {mode!r}")
+    if mode not in _AMPLIFICATION_NOTES:
+        raise ValueError(f"mode must be grover|fixed_point, got {mode!r}")
+    if mode == "fixed_point" and not 0 < delta < 1:
+        raise ValueError(f"tolerance must lie in (0, 1), got {delta}")
+    prefactor = math.pi / 4.0 if mode == "grover" else math.log(2.0 / delta)
+    units = math.ceil(prefactor / math.sqrt(p_success))
+    repeats = 1.0 / p_success if mode == "grover" else None
+    return AmplificationCost(mode, units, repeats, _AMPLIFICATION_NOTES[mode])
+
+
+def _amplification(p_total: float) -> dict:
+    """Both estimates at p_total; a value with no finite double value is None.
+
+    The exact product of success probabilities is positive, so a p_total of 0
+    has underflowed: amplification_cost, which rejects 0, never sees it, and
+    no value exists. A subnormal p_total can overflow 1/p_total alone.
+    """
+    costs = {}
+    for mode, note in _AMPLIFICATION_NOTES.items():
+        cost = (amplification_cost(p_total, mode) if p_total > 0.0
+                else AmplificationCost(mode, None, None, note))
+        if cost.units is None or cost.expected_repeats == math.inf:
+            note += _UNDERFLOW_NOTE + (" to 0" if p_total == 0.0 else "")
+            cost = cost._replace(expected_repeats=None, note=note)
+        costs[mode] = cost
+    return costs
 
 
 @dataclass
@@ -232,9 +233,8 @@ def run_plan(plan: ExperimentPlan) -> tuple[ModelState, RunReport]:
     ledger: list = []
     for number, step in enumerate(plan.steps, start=1):
         if isinstance(step, DiffusionStep):
-            kernel = DiffusionKernel(p=step.p, n=plan.n, d=step.d)
             # the block scaling and p_s are the same for both encodings
-            out, p_s = apply_diffusion_spectral(gft_forward(amps, "unitary"), kernel)
+            out, p_s = apply_diffusion_spectral(gft_forward(amps, "unitary"), step)
             amps = gft_inverse(out)
             bound_value = None
             if step.p > 0:
@@ -246,21 +246,20 @@ def run_plan(plan: ExperimentPlan) -> tuple[ModelState, RunReport]:
                 "success_prob": p_s, "bound": bound_value,
             })
         else:
-            obs = step.observation
-            amps, p_s, cost = reorder_update_condition(amps, obs, plan.encoding)
+            amps, p_s, cost = reorder_update_condition(amps, step, plan.encoding)
             ledger.append({
-                "step": number, "type": "conditioning", "kind": obs.kind,
-                "s": obs.s, "success_prob": p_s, "bound": p_s,
+                "step": number, "type": "conditioning", "kind": step.kind,
+                "s": step.s, "success_prob": p_s, "bound": p_s,
                 "swaps": cost.forward_swaps + cost.inverse_swaps,
             })
-    state = ModelState(
-        amplitudes=amps, encoding=plan.encoding, t=len(plan.steps), ledger=ledger
-    )
+    state = ModelState(amplitudes=amps, encoding=plan.encoding)
     if plan.sharpening is not None:
-        state, _ = sharpen_map(state, plan.sharpening)
+        state, p_s = sharpen_map(state, plan.sharpening)
+        ledger.append({"step": len(plan.steps) + 1, "type": "sharpen",
+                       "m": int(plan.sharpening), "success_prob": p_s, "bound": p_s})
 
-    p_total = math.prod((entry["success_prob"] for entry in state.ledger), start=1.0)
-    bounds = [entry["bound"] for entry in state.ledger]
+    p_total = math.prod((entry["success_prob"] for entry in ledger), start=1.0)
+    bounds = [entry["bound"] for entry in ledger]
     if any(b is None for b in bounds):
         lower_bound = None
         note = "inapplicable: a diffusion step has no valid lower bound"
@@ -268,17 +267,14 @@ def run_plan(plan: ExperimentPlan) -> tuple[ModelState, RunReport]:
         lower_bound = math.prod(bounds, start=1.0)
         note = "diffusion bounds times measured conditioning probabilities"
         if lower_bound == 0.0:
-            note += "; the positive product underflows double precision to 0"
+            note += _UNDERFLOW_NOTE + " to 0"
     report = RunReport(
         p_total=p_total,
         lower_bound=lower_bound,
         lower_bound_note=note,
         posterior=state.posterior(),
-        ledger=state.ledger,
-        amplification={
-            "grover": amplification_cost(p_total, "grover"),
-            "fixed_point": amplification_cost(p_total, "fixed_point"),
-        },
+        ledger=ledger,
+        amplification=_amplification(p_total),
     )
     return state, report
 
@@ -299,12 +295,7 @@ def sharpen_map(state: ModelState, m: int) -> tuple[ModelState, float]:
         powered = float_power(state.amplitudes, m)
         p_s = float(np.sum(powered * powered))
         amps = renormalized(powered, p_s, "sharpening")
-    entry = {"step": state.t + 1, "type": "sharpen", "m": int(m),
-             "success_prob": p_s, "bound": p_s}
-    return ModelState(
-        amplitudes=amps, encoding=state.encoding, t=state.t + 1,
-        ledger=state.ledger + [entry],
-    ), p_s
+    return ModelState(amplitudes=amps, encoding=state.encoding), p_s
 
 
 def sample_computational(state: ModelState, count: int, seed: int) -> list:

@@ -25,13 +25,7 @@ from .conditioning import Observation
 from .errors import PlanValidationError
 from .partitions import Partition, enumerate_partitions
 from .perms import all_one_lines
-from .pipeline import (
-    ConditioningStep,
-    DiffusionStep,
-    EmpiricalInitial,
-    ExperimentPlan,
-    RunReport,
-)
+from .pipeline import DiffusionStep, EmpiricalInitial, ExperimentPlan, RunReport
 from .transform import FourierSpectrum, function_degree
 
 
@@ -214,10 +208,9 @@ def plan_to_json(plan: ExperimentPlan) -> str:
         if isinstance(step, DiffusionStep):
             steps.append({"type": "diffusion", "p": step.p, "d": step.d})
         else:
-            steps.append({
-                "type": "conditioning",
-                "observation": observation_to_dict(step.observation),
-            })
+            steps.append(
+                {"type": "conditioning", "observation": observation_to_dict(step)}
+            )
     if isinstance(plan.initial, EmpiricalInitial):
         initial = {
             "kind": "empirical",
@@ -298,9 +291,7 @@ def _parse_observation(doc, path: str) -> Observation:
 
 def _parse_step(doc, path: str):
     if _tagged(doc, path, "type", _STEP_SHAPES) == "conditioning":
-        return ConditioningStep(
-            _parse_observation(doc.get("observation"), f"{path}.observation")
-        )
+        return _parse_observation(doc.get("observation"), f"{path}.observation")
     p = doc.get("p")
     if isinstance(p, str):
         # a string like "1/3" or "0.3" requests exact rational arithmetic

@@ -20,7 +20,7 @@ from .conditioning import (
     success_probability_conditioning,
 )
 from .diffusion import (
-    DiffusionKernel,
+    DiffusionStep,
     apply_diffusion_spectral,
     kernel_as_function,
     success_probability_lower_bound,
@@ -140,8 +140,8 @@ def _check_claim1(n_max, rng):
     worst = 0.0
     for n in range(2, n_max + 1):
         for p in (0.1, 0.25, 0.5, 0.75, 0.9):
-            kernel = DiffusionKernel(p=p, n=n, d=1)
-            _, measured = apply_diffusion_spectral(delta_spectrum(n), kernel)
+            step = DiffusionStep(p)
+            _, measured = apply_diffusion_spectral(delta_spectrum(n), step)
             worst = max(worst, abs(measured - success_probability_t0(n, p)))
     return CheckResult(name, worst <= 1e-10, f"max |measured - closed form| = {worst:.2e}")
 
@@ -155,8 +155,8 @@ def _check_claim2(n_max, rng):
             p = float(rng.uniform(0.51, 0.99))
             d = int(rng.integers(1, 4))
             psi = np.sqrt(_random_probability(rng, fact))
-            kernel = DiffusionKernel(p=p, n=n, d=d)
-            _, measured = apply_diffusion_spectral(gft_forward(psi, "unitary"), kernel)
+            step = DiffusionStep(p, d)
+            _, measured = apply_diffusion_spectral(gft_forward(psi, "unitary"), step)
             bound = success_probability_lower_bound(n, p, d)
             if bound.value is None or measured < bound.value - 1e-12:
                 return CheckResult(name, False, f"violated at n={n} p={p:.3f} d={d}")
@@ -166,8 +166,8 @@ def _check_claim2(n_max, rng):
             if bound.value is None:
                 continue
             psi = np.sqrt(_random_probability(rng, fact))
-            kernel = DiffusionKernel(p=p, n=n, d=1)
-            _, measured = apply_diffusion_spectral(gft_forward(psi, "unitary"), kernel)
+            step = DiffusionStep(p)
+            _, measured = apply_diffusion_spectral(gft_forward(psi, "unitary"), step)
             if measured < bound.value - 1e-12:
                 return CheckResult(name, False, f"violated at n={n} p={p}")
             trials += 1
@@ -193,12 +193,12 @@ def _check_schur_diagonality(n_max, rng):
     worst = 0.0
     for n in range(2, n_max + 1):
         for p in (0.3, 0.8):
-            kernel = DiffusionKernel(p=p, n=n, d=1)
-            spectrum = gft_forward(kernel_as_function(kernel), "plain")
+            step = DiffusionStep(p)
+            spectrum = gft_forward(kernel_as_function(step, n), "plain")
             for lam, block in spectrum.blocks.items():
                 off = block - np.diag(np.diag(block))
                 worst = max(worst, float(np.max(np.abs(off))))
-                diag_err = np.max(np.abs(np.diag(block) - float(kernel.eigenvalue(lam))))
+                diag_err = np.max(np.abs(np.diag(block) - float(step.eigenvalue(lam))))
                 worst = max(worst, float(diag_err))
     return CheckResult(name, worst <= 1e-10, f"max off-diagonal/eigenvalue error = {worst:.2e}")
 

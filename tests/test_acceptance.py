@@ -20,7 +20,6 @@ from snfourier.conditioning import (
     success_probability_conditioning,
 )
 from snfourier.diffusion import (
-    DiffusionKernel,
     apply_diffusion_spectral,
     kernel_as_function,
 )
@@ -44,7 +43,6 @@ from snfourier.perms import (
     lehmer_unrank,
 )
 from snfourier.pipeline import (
-    ConditioningStep,
     DiffusionStep,
     EmpiricalInitial,
     ExperimentPlan,
@@ -105,8 +103,8 @@ def test_criterion_01_start_state_success(acceptance):
     start = time.monotonic()
     for n in range(2, 8):
         for p in (0.1, 0.25, 0.5, 0.75, 0.9):
-            kernel = DiffusionKernel(p=p, n=n, d=1)
-            _, measured = apply_diffusion_spectral(delta_spectrum(n), kernel)
+            step = DiffusionStep(p=p)
+            _, measured = apply_diffusion_spectral(delta_spectrum(n), step)
             closed = p * p + 2.0 * (1.0 - p) ** 2 / (n * (n - 1))
             assert abs(measured - closed) <= 1e-10
     assert time.monotonic() - start < 60.0
@@ -124,8 +122,8 @@ def test_criterion_02_lower_bound_dominance(acceptance):
         d = int(rng.integers(1, 4))
         state = rng.standard_normal(math.factorial(n))
         state /= np.linalg.norm(state)
-        kernel = DiffusionKernel(p=p, n=n, d=d)
-        _, measured = apply_diffusion_spectral(gft_forward(state, "unitary"), kernel)
+        step = DiffusionStep(p=p, d=d)
+        _, measured = apply_diffusion_spectral(gft_forward(state, "unitary"), step)
         assert measured >= (2.0 * p - 1.0) ** (2 * d) - 1e-12
 
     rational_trials = 0
@@ -137,9 +135,9 @@ def test_criterion_02_lower_bound_dominance(acceptance):
             for d in (1, 2):
                 state = rng.standard_normal(math.factorial(n))
                 state /= np.linalg.norm(state)
-                kernel = DiffusionKernel(p=p, n=n, d=d)
+                step = DiffusionStep(p=p, d=d)
                 _, measured = apply_diffusion_spectral(
-                    gft_forward(state, "unitary"), kernel
+                    gft_forward(state, "unitary"), step
                 )
                 assert measured >= (4.0 / (b * b * n**4)) ** d - 1e-15
                 rational_trials += 1
@@ -222,15 +220,15 @@ def test_criterion_06_schur_diagonality(acceptance):
                     ol[i - 1], ol[j - 1] = ol[j - 1], ol[i - 1]
                     acc += weight * irrep_of(lam, Permutation(tuple(ol)))
                 blocks[lam] = acc
-            kernel = DiffusionKernel(p=p, n=n, d=1)
+            step = DiffusionStep(p=p)
             for lam, block in blocks.items():
                 off = block - np.diag(np.diag(block))
                 assert float(np.sqrt(np.sum(off * off))) < 1e-10
                 assert np.max(
-                    np.abs(np.diag(block) - float(kernel.eigenvalue(lam)))
+                    np.abs(np.diag(block) - float(step.eigenvalue(lam)))
                 ) < 1e-10
             if n <= 6:
-                dense = gft_forward(kernel_as_function(kernel), "plain")
+                dense = gft_forward(kernel_as_function(step, n), "plain")
                 for lam, block in blocks.items():
                     assert np.max(np.abs(dense.blocks[lam] - block)) <= 1e-12
 
@@ -288,11 +286,11 @@ def _dense_shadow(plan):
         h = h / h.sum()
     for step in plan.steps:
         if isinstance(step, DiffusionStep):
-            q = kernel_as_function(DiffusionKernel(p=step.p, n=n, d=1))
+            q = kernel_as_function(step, n)
             markov = oracles.markov_matrix_oracle(n, q)
             h = np.linalg.matrix_power(markov, step.d) @ h
         else:
-            h = _likelihood_vector(step.observation, n) * h
+            h = _likelihood_vector(step, n) * h
             h = h / h.sum()
     return h
 
@@ -309,11 +307,11 @@ def _dense_unrenormalized_norm(plan):
         psi = h / np.linalg.norm(h)
     for step in plan.steps:
         if isinstance(step, DiffusionStep):
-            q = kernel_as_function(DiffusionKernel(p=step.p, n=n, d=1))
+            q = kernel_as_function(step, n)
             markov = oracles.markov_matrix_oracle(n, q)
             psi = np.linalg.matrix_power(markov, step.d) @ psi
         else:
-            psi = _likelihood_vector(step.observation, n) * psi
+            psi = _likelihood_vector(step, n) * psi
     return float(psi @ psi)
 
 
@@ -326,7 +324,7 @@ def test_criterion_09_pipeline_shadow(acceptance):
         n=3,
         steps=(
             DiffusionStep(p=0.5, d=1),
-            ConditioningStep(Observation(kind="assignment", indices=(1,), values=(1,))),
+            Observation(kind="assignment", indices=(1,), values=(1,)),
         ),
     )
     plans = [fig1]
@@ -345,7 +343,7 @@ def test_criterion_09_pipeline_shadow(acceptance):
                         kind=obs.kind, s=0.9, indices=obs.indices,
                         values=obs.values, items=obs.items,
                     )
-                steps.append(ConditioningStep(obs))
+                steps.append(obs)
         if rng.random() < 0.3:
             entries = tuple(
                 (tuple(int(v) for v in rng.permutation(n) + 1), int(rng.integers(1, 4)))

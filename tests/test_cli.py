@@ -146,6 +146,38 @@ def test_run_annihilated_state(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def _long_hard_plan(rounds):
+    steps = []
+    for i in range(rounds):
+        steps += [{"type": "diffusion", "p": 0.6, "d": 1},
+                  {"type": "conditioning", "observation": {
+                      "kind": "assignment", "indices": [1], "values": [1 + i % 3]}}]
+    return {"n": 3, "encoding": "born", "initial": "identity", "steps": steps}
+
+
+@pytest.mark.parametrize("rounds, p_total_is_zero", [(180, False), (190, True)])
+def test_plan_whose_success_product_underflows_exits_0(tmp_path, rounds,
+                                                       p_total_is_zero):
+    # at 180 rounds p_total is subnormal, so 1/p_total overflows; at 190 it is 0
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(_long_hard_plan(rounds)))
+    assert run_cli("run", "--plan", str(plan), "--out", str(tmp_path / "run")) == 0
+    assert run_cli("sample", "--plan", str(plan), "--out", str(tmp_path / "draws"),
+                   "--count", "10") == 0
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert (report["p_total"] == 0) == p_total_is_zero
+    suffix = "; the positive product underflows double precision"
+    suffix += " to 0" if p_total_is_zero else ""
+    grover, fixed = report["amplification"].values()
+    for cost in (grover, fixed):
+        assert list(cost) == ["mode", "units", "expected_repeats", "note"]
+        assert cost["expected_repeats"] is None
+        assert (cost["units"] is None) == p_total_is_zero
+    assert grover["note"].endswith(suffix)
+    # fixed-point units stay finite unless p_total itself is 0
+    assert fixed["note"].endswith(suffix) == p_total_is_zero
+
+
 def _steps(d):
     return [{"type": "diffusion", "p": "1/3", "d": d}]
 

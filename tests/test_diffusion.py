@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import oracles
-from snfourier.diffusion import DiffusionKernel, apply_diffusion_born, \
+from snfourier.diffusion import DiffusionStep, apply_diffusion_born, \
     apply_diffusion_spectral, float_power, kernel_as_function, \
     success_probability_lower_bound, success_probability_t0
-from snfourier.errors import AnnihilatedStateError
+from snfourier.errors import AnnihilatedStateError, PlanValidationError
 from snfourier.partitions import Partition, diffusion_eigenvalue, \
     enumerate_partitions, irrep_dimension
 from snfourier.transform import FourierSpectrum, convolve, delta_spectrum, \
@@ -24,12 +24,12 @@ def random_unit_state(n):
 
 
 def test_kernel_frozen_n3():
-    q = kernel_as_function(DiffusionKernel(p=0.4, n=3))
+    q = kernel_as_function(DiffusionStep(p=0.4), 3)
     assert np.allclose(q, [0.4, 0.2, 0.2, 0.0, 0.0, 0.2], atol=1e-15)
 
 
 def test_kernel_p1_is_delta():
-    q = kernel_as_function(DiffusionKernel(p=1.0, n=4))
+    q = kernel_as_function(DiffusionStep(p=1.0), 4)
     expected = np.zeros(24)
     expected[0] = 1.0
     assert np.array_equal(q, expected)
@@ -38,14 +38,14 @@ def test_kernel_p1_is_delta():
 def test_kernel_normalization_and_support():
     for n in range(2, 7):
         for p in (0.1, 0.5, 0.9):
-            q = kernel_as_function(DiffusionKernel(p=p, n=n))
+            q = kernel_as_function(DiffusionStep(p=p), n)
             assert q.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.count_nonzero(q) == 1 + math.comb(n, 2)
 
 
 def test_kernel_is_class_function():
     n = 5
-    q = kernel_as_function(DiffusionKernel(p=0.3, n=n))
+    q = kernel_as_function(DiffusionStep(p=0.3), n)
     seen = {}
     for r, ol in enumerate(oracles.all_perms_lex(n)):
         ctype = oracles.cycle_type(ol)
@@ -53,15 +53,26 @@ def test_kernel_is_class_function():
         assert q[r] == seen[ctype]
 
 
-def test_kernel_validation():
-    for bad in (dict(p=-0.1, n=3), dict(p=1.5, n=3), dict(p=0.5, n=1),
-                dict(p=0.5, n=3, d=0)):
-        with pytest.raises(ValueError):
-            DiffusionKernel(**bad)
+def test_step_validation_names_the_field():
+    for bad, field in ((dict(p=-0.1), "p"), (dict(p=1.5), "p"),
+                       (dict(p=0.5, d=0), "d")):
+        with pytest.raises(PlanValidationError) as err:
+            DiffusionStep(**bad)
+        assert err.value.field == field
+
+
+def test_walk_needs_degree_two():
+    step = DiffusionStep(p=0.5)
+    with pytest.raises(ValueError, match="n >= 2"):
+        kernel_as_function(step, 1)
+    with pytest.raises(ValueError, match="n >= 2"):
+        apply_diffusion_spectral(delta_spectrum(1), step)
+    with pytest.raises(ValueError, match="n >= 2"):
+        apply_diffusion_born(delta_spectrum(1), step)
 
 
 def test_claim1_worked_example():
-    out, ps = apply_diffusion_spectral(delta_spectrum(3), DiffusionKernel(p=0.5, n=3))
+    out, ps = apply_diffusion_spectral(delta_spectrum(3), DiffusionStep(p=0.5))
     assert ps == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert ps == pytest.approx(success_probability_t0(3, 0.5), abs=1e-12)
     assert out.total_energy() == pytest.approx(1.0, abs=1e-12)
@@ -70,7 +81,7 @@ def test_claim1_worked_example():
 def test_p1_leaves_spectrum_alone():
     n = 4
     spec = gft_forward(random_unit_state(n), "unitary")
-    out, ps = apply_diffusion_spectral(spec, DiffusionKernel(p=1.0, n=n))
+    out, ps = apply_diffusion_spectral(spec, DiffusionStep(p=1.0))
     assert ps == pytest.approx(1.0, abs=1e-12)
     for lam in enumerate_partitions(n):
         assert np.allclose(out.blocks[lam], spec.blocks[lam], atol=1e-12)
@@ -94,9 +105,9 @@ def test_sign_block_keeps_the_parity_of_any_walk_length():
     # p = 0 at n = 3: eigenvalues 1, 0 and -1, so only d's parity matters
     spec = gft_forward(random_unit_state(3), "unitary")
     for short, long in ((1, 2**64 + 1), (2, 2**64)):
-        out, ps = apply_diffusion_spectral(spec, DiffusionKernel(p=0, n=3, d=short))
+        out, ps = apply_diffusion_spectral(spec, DiffusionStep(p=0, d=short))
         out_long, ps_long = apply_diffusion_spectral(
-            spec, DiffusionKernel(p=0, n=3, d=long))
+            spec, DiffusionStep(p=0, d=long))
         assert ps_long == ps
         for lam, block in out.blocks.items():
             assert np.array_equal(out_long.blocks[lam], block)
@@ -104,11 +115,11 @@ def test_sign_block_keeps_the_parity_of_any_walk_length():
 
 def test_spectral_route_equals_direct_convolution():
     n = 4
-    q = kernel_as_function(DiffusionKernel(p=0.6, n=n))
+    q = kernel_as_function(DiffusionStep(p=0.6), n)
     for d in (1, 2):
         h = random_unit_state(n)
         out, ps = apply_diffusion_spectral(
-            gft_forward(h, "unitary"), DiffusionKernel(p=0.6, n=n, d=d)
+            gft_forward(h, "unitary"), DiffusionStep(p=0.6, d=d)
         )
         direct = h
         for _ in range(d):
@@ -135,7 +146,7 @@ def test_t0_formula_three_routes():
             )
             assert closed == pytest.approx(by_blocks, abs=1e-10)
             _, measured = apply_diffusion_spectral(
-                delta_spectrum(n), DiffusionKernel(p=p, n=n)
+                delta_spectrum(n), DiffusionStep(p=p)
             )
             assert closed == pytest.approx(measured, abs=1e-10)
 
@@ -191,7 +202,7 @@ def test_bound_dominated_by_measured():
         p = float(RNG.uniform(0.51, 0.99))
         d = int(RNG.integers(1, 4))
         spec = gft_forward(random_unit_state(n), "unitary")
-        _, measured = apply_diffusion_spectral(spec, DiffusionKernel(p=p, n=n, d=d))
+        _, measured = apply_diffusion_spectral(spec, DiffusionStep(p=p, d=d))
         bound = success_probability_lower_bound(n, p, d)
         assert measured >= bound.value - 1e-12
 
@@ -200,10 +211,10 @@ def test_spectral_input_contract():
     n = 3
     plain = gft_forward(random_unit_state(n), "plain")
     with pytest.raises(ValueError):
-        apply_diffusion_spectral(plain, DiffusionKernel(p=0.5, n=n))
+        apply_diffusion_spectral(plain, DiffusionStep(p=0.5))
     unnormalized = gft_forward(2.0 * random_unit_state(n), "unitary")
     with pytest.raises(ValueError):
-        apply_diffusion_spectral(unnormalized, DiffusionKernel(p=0.5, n=n))
+        apply_diffusion_spectral(unnormalized, DiffusionStep(p=0.5))
 
 
 def test_annihilation_on_sign_state():
@@ -213,14 +224,13 @@ def test_annihilation_on_sign_state():
                       for ol in oracles.all_perms_lex(n)])
     spec = gft_forward(signs / np.linalg.norm(signs), "unitary")
     with pytest.raises(AnnihilatedStateError):
-        apply_diffusion_spectral(spec, DiffusionKernel(p=0.5, n=n))
+        apply_diffusion_spectral(spec, DiffusionStep(p=0.5))
 
 
 def test_born_uniform_fixed_point():
-    n = 4
     psi = np.full(24, 1.0 / math.sqrt(24.0))
     out, renorm = apply_diffusion_born(
-        gft_forward(psi, "unitary"), DiffusionKernel(p=0.35, n=n)
+        gft_forward(psi, "unitary"), DiffusionStep(p=0.35)
     )
     assert renorm == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(gft_inverse(out), psi, atol=1e-12)
@@ -230,19 +240,18 @@ def test_born_renorm_matches_direct_space():
     n = 4
     h = oracles.random_probability(RNG, 24)
     psi = np.sqrt(h)
-    kern = DiffusionKernel(p=0.5, n=n)
-    out, renorm = apply_diffusion_born(gft_forward(psi, "unitary"), kern)
-    direct = convolve(kernel_as_function(kern), psi)
+    step = DiffusionStep(p=0.5)
+    out, renorm = apply_diffusion_born(gft_forward(psi, "unitary"), step)
+    direct = convolve(kernel_as_function(step, n), psi)
     assert renorm == pytest.approx(np.linalg.norm(direct), abs=1e-10)
     assert np.allclose(gft_inverse(out), direct / np.linalg.norm(direct), atol=1e-10)
 
 
 def test_born_keeps_nonnegative_support():
-    n = 4
     for _ in range(5):
         psi = np.sqrt(oracles.random_probability(RNG, 24, floor=0.0))
         out, _ = apply_diffusion_born(
-            gft_forward(psi, "unitary"), DiffusionKernel(p=0.7, n=n)
+            gft_forward(psi, "unitary"), DiffusionStep(p=0.7)
         )
         assert np.min(gft_inverse(out)) > -1e-12
 
@@ -252,11 +261,11 @@ def test_born_mixes_toward_uniform():
     fact = math.factorial(n)
     psi = np.sqrt(oracles.random_probability(RNG, fact))
     spec = gft_forward(psi, "unitary")
-    kern = DiffusionKernel(p=0.5, n=n)
+    step = DiffusionStep(p=0.5)
     uniform = np.full(fact, 1.0 / fact)
     tv = None
     for _ in range(25):
-        spec, _ = apply_diffusion_born(spec, kern)
+        spec, _ = apply_diffusion_born(spec, step)
         tv = oracles.tv_distance(gft_inverse(spec) ** 2, uniform)
         if tv < 0.01:
             break
@@ -265,7 +274,7 @@ def test_born_mixes_toward_uniform():
 
 def test_markov_matrix_route():
     n = 3
-    q = kernel_as_function(DiffusionKernel(p=0.4, n=n))
+    q = kernel_as_function(DiffusionStep(p=0.4), n)
     h = oracles.random_probability(RNG, 6)
     big_q = oracles.markov_matrix_oracle(n, q)
     assert np.allclose(big_q @ h, convolve(q, h), atol=1e-12)

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from snfourier.conditioning import Observation, bayes_update, reorder_update_condition
-from snfourier.diffusion import DiffusionKernel, apply_diffusion_spectral
+from snfourier.diffusion import DiffusionStep, apply_diffusion_spectral
 from snfourier.errors import AnnihilatedStateError
 from snfourier.pipeline import ModelState, sharpen_map, state_prep_unitary
 from snfourier.transform import gft_forward
@@ -22,7 +22,7 @@ ENTRY_POINTS = {
     "bayes_update": lambda psi: bayes_update(psi, RANKING),
     "reorder_update_condition": lambda psi: reorder_update_condition(psi, RANKING),
     "apply_diffusion_spectral": lambda psi: apply_diffusion_spectral(
-        gft_forward(psi, "unitary"), DiffusionKernel(p=0.7, n=N)),
+        gft_forward(psi, "unitary"), DiffusionStep(p=0.7)),
     "state_prep_unitary": state_prep_unitary,
 }
 
@@ -56,7 +56,7 @@ POST_SELECTED = {
     "reorder_update_condition": lambda: reorder_update_condition(_reversal(), PINNED),
     # p = 1/2 zeroes the sign block, where the alternating state lives
     "apply_diffusion_spectral": lambda: apply_diffusion_spectral(
-        _sign_spectrum(), DiffusionKernel(p=0.5, n=N)),
+        _sign_spectrum(), DiffusionStep(p=0.5)),
     "sharpen_map": lambda: sharpen_map(
         ModelState(amplitudes=state_with_norm_sq(1.0), encoding="born"), 1000),
 }

@@ -9,10 +9,10 @@ from scipy import stats
 
 import oracles
 from snfourier.conditioning import Observation
-from snfourier.diffusion import DiffusionKernel, kernel_as_function
+from snfourier.diffusion import kernel_as_function
 from snfourier.errors import AnnihilatedStateError, DegreeGuardError
 from snfourier.partitions import Partition, irrep_dimension, enumerate_partitions
-from snfourier.pipeline import ConditioningStep, DiffusionStep, EmpiricalInitial, \
+from snfourier.pipeline import DiffusionStep, EmpiricalInitial, \
     ExperimentPlan, ModelState, amplification_cost, run_plan, sample_computational, \
     sample_fourier, sharpen_map, state_prep_unitary, verify_posterior_block_encoding
 from snfourier.transform import convolve
@@ -33,12 +33,12 @@ def classical_shadow(plan):
     h[0] = 1.0
     for step in plan.steps:
         if isinstance(step, DiffusionStep):
-            q = kernel_as_function(DiffusionKernel(p=step.p, n=n, d=1))
+            q = kernel_as_function(step, n)
             big_q = oracles.markov_matrix_oracle(n, q)
             for _ in range(step.d):
                 h = big_q @ h
         else:
-            obs = step.observation
+            obs = step
             like = np.empty_like(h)
             for r, ol in enumerate(oracles.all_perms_lex(n)):
                 if obs.kind == "assignment":
@@ -79,7 +79,7 @@ def random_plan(n, rng, hard_ok=False):
                                 rng.choice(n, size=k, replace=False) + 1),
                     s=s,
                 )
-            steps.append(ConditioningStep(observation=obs))
+            steps.append(obs)
     return ExperimentPlan(n=n, steps=tuple(steps))
 
 
@@ -98,8 +98,8 @@ def test_single_story_diffuse_then_condition():
         n=3,
         steps=(
             DiffusionStep(p=0.5, d=1),
-            ConditioningStep(observation=Observation(
-                kind="assignment", indices=(1,), values=(1,), s=1.0)),
+            Observation(
+                kind="assignment", indices=(1,), values=(1,), s=1.0),
         ),
     )
     state, report = run_plan(plan)
@@ -125,11 +125,11 @@ def test_ledger_product_equals_unrenormalized_norm():
         raw[0] = 1.0
         for step in plan.steps:
             if isinstance(step, DiffusionStep):
-                q = kernel_as_function(DiffusionKernel(p=step.p, n=n, d=1))
+                q = kernel_as_function(step, n)
                 for _ in range(step.d):
                     raw = convolve(q, raw)
             else:
-                obs = step.observation
+                obs = step
                 like = np.array([
                     obs.s if all(ol[i - 1] == j for i, j in
                                  zip(obs.indices, obs.values))
@@ -186,7 +186,7 @@ def test_born_conditioning_only_plan():
     obs = Observation(kind="ranking", items=(2, 4, 1), s=0.8)
     uniform = EmpiricalInitial(entries=tuple(
         (ol, 1) for ol in oracles.all_perms_lex(n)))
-    plan = ExperimentPlan(n=n, steps=(ConditioningStep(observation=obs),),
+    plan = ExperimentPlan(n=n, steps=(obs,),
                           encoding="born", initial=uniform)
     state, report = run_plan(plan)
     h = np.full(24, 1.0 / 24.0)
@@ -204,10 +204,10 @@ def test_run_plan_annihilation_surfaces():
     plan = ExperimentPlan(
         n=3,
         steps=(
-            ConditioningStep(observation=Observation(
-                kind="assignment", indices=(1,), values=(1,), s=1.0)),
-            ConditioningStep(observation=Observation(
-                kind="assignment", indices=(1,), values=(2,), s=1.0)),
+            Observation(
+                kind="assignment", indices=(1,), values=(1,), s=1.0),
+            Observation(
+                kind="assignment", indices=(1,), values=(2,), s=1.0),
         ),
     )
     with pytest.raises(AnnihilatedStateError):
@@ -216,8 +216,8 @@ def test_run_plan_annihilation_surfaces():
 
 def test_plan_validation():
     with pytest.raises(ValueError):
-        ExperimentPlan(n=3, steps=(ConditioningStep(observation=Observation(
-            kind="assignment", indices=(5,), values=(1,), s=1.0)),))
+        ExperimentPlan(n=3, steps=(Observation(
+            kind="assignment", indices=(5,), values=(1,), s=1.0),))
     with pytest.raises(ValueError):
         ExperimentPlan(n=3, steps=(), encoding="wavefunction")
     with pytest.raises(ValueError):

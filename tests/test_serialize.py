@@ -16,7 +16,6 @@ from snfourier.cli import main
 from snfourier.conditioning import Observation
 from snfourier.errors import ENCODINGS, DegreeGuardError, PlanValidationError
 from snfourier.pipeline import (
-    ConditioningStep,
     DiffusionStep,
     EmpiricalInitial,
     ExperimentPlan,
@@ -152,6 +151,20 @@ def test_posterior_csv_lists_one_lines():
     assert len(lines) == 7
 
 
+def test_posterior_csv_text_is_pinned():
+    # zero, negative zero, a tiny value and 17-digit values, byte for byte
+    text = posterior_to_csv([0.0, -0.0, 1e-300, 1 / 3, 0.5, 1 / 6])
+    assert text == (
+        "rank,one_line,probability\n"
+        "0,1 2 3,0\n"
+        "1,1 3 2,-0\n"
+        "2,2 1 3,1e-300\n"
+        "3,2 3 1,0.33333333333333331\n"
+        "4,3 1 2,0.5\n"
+        "5,3 2 1,0.16666666666666666\n"
+    )
+
+
 def test_posterior_csv_rejects_nan():
     posterior = np.array([0.75, np.nan, 0.25, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="non-finite"):
@@ -171,7 +184,7 @@ def test_ledger_jsonl():
         n=3,
         steps=(
             DiffusionStep(p=0.5, d=1),
-            ConditioningStep(Observation(kind="assignment", indices=(1,), values=(1,))),
+            Observation(kind="assignment", indices=(1,), values=(1,)),
         ),
     )
     _, report = run_plan(plan)
@@ -222,10 +235,8 @@ def test_plan_json_round_trip():
         n=4,
         steps=(
             DiffusionStep(p=0.6, d=2),
-            ConditioningStep(Observation(kind="ranking", items=(2, 3), s=0.8)),
-            ConditioningStep(
-                Observation(kind="assignment", indices=(1, 4), values=(2, 3), s=0.9)
-            ),
+            Observation(kind="ranking", items=(2, 3), s=0.8),
+            Observation(kind="assignment", indices=(1, 4), values=(2, 3), s=0.9),
         ),
         encoding="born",
         initial=EmpiricalInitial(entries=(((2, 1, 3, 4), 2), ((1, 2, 3, 4), 1))),
@@ -233,6 +244,34 @@ def test_plan_json_round_trip():
         sharpening=3,
     )
     assert plan_from_json(plan_to_json(plan)) == plan
+
+
+def test_observation_steps_give_the_ledger_of_the_json_plan():
+    plan = ExperimentPlan(
+        n=4,
+        steps=(
+            DiffusionStep(p=0.6, d=2),
+            Observation(kind="ranking", items=(2, 3), s=0.8),
+            Observation(kind="assignment", indices=(1, 4), values=(2, 3), s=0.9),
+        ),
+        encoding="born",
+        sharpening=3,
+    )
+    read = plan_from_json("""{
+      "n": 4, "encoding": "born", "sharpening": 3,
+      "steps": [
+        {"type": "diffusion", "p": 0.6, "d": 2},
+        {"type": "conditioning",
+         "observation": {"kind": "ranking", "items": [2, 3], "s": 0.8}},
+        {"type": "conditioning", "observation":
+         {"kind": "assignment", "indices": [1, 4], "values": [2, 3], "s": 0.9}}
+      ]
+    }""")
+    assert read == plan
+    built_ledger = ledger_to_jsonl(run_plan(plan)[1].ledger)
+    assert ledger_to_jsonl(run_plan(read)[1].ledger) == built_ledger
+    assert [json.loads(line)["type"] for line in built_ledger.splitlines()] == [
+        "diffusion", "conditioning", "conditioning", "sharpen"]
 
 
 def test_plan_json_rational_p():
