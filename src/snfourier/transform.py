@@ -1,16 +1,24 @@
-"""Group Fourier transform on S_n and the dense QFT change of basis.
+"""Fast Fourier transform on S_n, group convolution and the regular action.
 
 Functions on the group are plain float arrays of length n! indexed by Lehmer
 rank; the degree is recovered from the length. Spectra hold one d x d block
 per partition in canonical (reverse lexicographic) order under either the
 plain normalization (forward sum as-is) or the unitary one, which scales each
 block by sqrt(d / n!) and turns the transform into an isometry.
+
+The forward and inverse transforms run Clausen's coset recursion along
+S_1 < S_2 < ... < S_n (M. Clausen, "Fast generalized Fourier transforms",
+Theor. Comput. Sci. 67, 1989): a function on S_k is k functions on the left
+cosets of S_{k-1}, and Young's orthogonal form restricted to S_{k-1} is
+block-diagonal over the corners of lam, so each level costs one matrix
+product per (lam, corner) pair and no n!-long stack of matrices is built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -18,6 +26,8 @@ from . import _backend
 from .errors import check_degree
 from .partitions import Partition, enumerate_partitions, irrep_dimension
 from .perms import Permutation, all_one_lines
+from .yor import _generator_data, corners
+# no library code calls this; perfbench/spans.py patches it by name
 from .yor import irrep_stack
 
 NORMALIZATIONS = ("plain", "unitary")
@@ -88,8 +98,70 @@ def delta_spectrum(n: int, normalization: str = "unitary") -> FourierSpectrum:
     return FourierSpectrum(n, normalization, blocks)
 
 
+def _coset_slabs(lam: Partition, previous: tuple[Partition, ...]):
+    """(mu index in previous, first column, last column, slab, its transpose)
+    per corner mu of lam.
+
+    With c_j = tau_{j+1}...tau_{k-1} (k = weight of lam), the slab is
+    [rho(c_0) ... rho(c_{k-1})] restricted to the columns of mu, whose block
+    of rho restricted to S_{k-1} sits there in last-letter order.
+    """
+    diag, offd, partner = _generator_data(lam)
+    reps = [np.eye(diag.shape[1])]  # rho(c_{k-1}) is the identity
+    for g in range(lam.weight - 2, -1, -1):
+        # rho(c_g) = rho(tau_{g+1}) rho(c_{g+1}), one sparse generator row
+        reps.append(diag[g][:, None] * reps[-1] + offd[g][:, None] * reps[-1][partner[g]])
+    reps.reverse()
+    out, lo = [], 0
+    for _, mu in corners(lam):
+        hi = lo + irrep_dimension(mu)
+        slab = np.hstack([rep[:, lo:hi] for rep in reps])
+        slab_t = np.ascontiguousarray(slab.T)
+        slab.setflags(write=False)
+        slab_t.setflags(write=False)
+        out.append((previous.index(mu), lo, hi, slab, slab_t))
+        lo = hi
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _fft_plan(n: int):
+    """Rank gather and per-level coset slabs of the degree-n FFT.
+
+    Position x = (j_n, ..., j_2) in mixed radix, j_n most significant, holds
+    sigma = c^(n)_{j_n} ... c^(2)_{j_2}, where c^(k)_j sends k to j+1; the
+    gather maps x to the Lehmer rank of that sigma. Level k = 2..n holds the
+    count n!/k! of S_k cosets and, per partition lam of k in canonical
+    order, its dimension and slabs.
+    """
+    lines = np.zeros((1, 1), dtype=np.int64)  # 0-based one-line forms
+    for k in range(2, n + 1):
+        # c_j moves the values j..k-2 up by one and puts k-1 at j
+        lines = np.concatenate([
+            np.column_stack((lines + (lines >= j), np.full(len(lines), j)))
+            for j in range(k)
+        ])
+    gather = _backend.encode_batch(lines)
+    gather.setflags(write=False)
+    levels = []
+    for k in range(2, n + 1):
+        previous = enumerate_partitions(k - 1)
+        levels.append((k, math.factorial(n) // math.factorial(k), tuple(
+            (irrep_dimension(lam), _coset_slabs(lam, previous))
+            for lam in enumerate_partitions(k)
+        )))
+    return gather, tuple(levels)
+
+
 def gft_forward(h, normalization: str = "unitary") -> FourierSpectrum:
-    """Forward transform: block_lam = sum_sigma h(sigma) rho_lam(sigma)."""
+    """Forward transform: block_lam = sum_sigma h(sigma) rho_lam(sigma).
+
+    Runs the coset recursion of `_fft_plan`. Level k holds, per partition
+    lam of k, the transposed blocks of all n!/k! coset functions as one
+    (d, n!/k!, d) array: column, coset, row. Each corner mu of lam is then
+    one matrix product of the level below, whose k cosets of S_{k-1} lie
+    side by side, with the transposed slab.
+    """
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}")
     values = np.ascontiguousarray(h, dtype=np.float64)
@@ -97,9 +169,20 @@ def gft_forward(h, normalization: str = "unitary") -> FourierSpectrum:
     if not np.all(np.isfinite(values)):
         raise ValueError("function values must be finite")
     fact = math.factorial(n)
+    gather, levels = _fft_plan(n)
+    prev = [values[gather].reshape(1, fact, 1)]
+    for k, batch, level in levels:
+        cur = []
+        for d, slabs in level:
+            block = np.empty((d, batch, d))
+            for mu, lo, hi, _, slab_t in slabs:
+                cosets = prev[mu].reshape((hi - lo) * batch, k * (hi - lo))
+                np.dot(cosets, slab_t, out=block[lo:hi].reshape(-1, d))
+            cur.append(block)
+        prev = cur
     blocks = {}
-    for lam in enumerate_partitions(n):
-        block = np.tensordot(values, irrep_stack(n, lam), axes=(0, 0))
+    for lam, block in zip(enumerate_partitions(n), prev):
+        block = block[:, 0].T.copy()
         if normalization == "unitary":
             block *= math.sqrt(irrep_dimension(lam) / fact)
         blocks[lam] = block
@@ -107,36 +190,33 @@ def gft_forward(h, normalization: str = "unitary") -> FourierSpectrum:
 
 
 def gft_inverse(spectrum: FourierSpectrum) -> np.ndarray:
-    """Inverse transform back to a rank-indexed array; exact round-trip."""
+    """Inverse transform back to a rank-indexed array; exact round-trip.
+
+    The forward recursion run backwards with the slabs untransposed: for
+    sigma = c_j pi, sum_ab rho(sigma)_ab G_ab splits over the corners mu
+    into the mu blocks of rho(c_j)^T G paired with rho_mu(pi).
+    """
     n = spectrum.n
     fact = math.factorial(n)
-    out = np.zeros(fact)
-    for lam, block in spectrum.blocks.items():
-        d = irrep_dimension(lam)
-        # sum_ij rho(sigma)_ij block_ij == tr(rho(sigma)^T block) for real rho
-        traces = irrep_stack(n, lam).reshape(fact, d * d) @ block.ravel()
-        if spectrum.normalization == "plain":
-            out += (d / fact) * traces
-        else:
-            out += math.sqrt(d / fact) * traces
-    return out
-
-
-def qft_matrix(n: int) -> np.ndarray:
-    """Dense n! x n! orthogonal Fourier basis change.
-
-    Row (lam, i, j) holds sqrt(d/n!) rho_lam(sigma)_ij across column ranks,
-    partitions in canonical order and (i, j) row-major within each block.
-    Guarded at n <= 7; the matrix has (n!)^2 entries.
-    """
-    check_degree(n, guard=7)
-    fact = math.factorial(n)
-    rows = []
+    gather, levels = _fft_plan(n)
+    cur = []
     for lam in enumerate_partitions(n):
         d = irrep_dimension(lam)
-        scale = math.sqrt(d / fact)
-        rows.append(scale * irrep_stack(n, lam).reshape(fact, d * d).T)
-    return np.vstack(rows)
+        scale = d / fact if spectrum.normalization == "plain" else math.sqrt(d / fact)
+        cur.append(scale * np.asarray(spectrum.blocks[lam], dtype=np.float64).T[:, None])
+    for k, _, level in reversed(levels):
+        prev = [None] * len(enumerate_partitions(k - 1))
+        for block, (d, slabs) in zip(cur, level):
+            for mu, lo, hi, slab, _ in slabs:
+                part = np.dot(block[lo:hi].reshape(-1, d), slab)
+                if prev[mu] is None:
+                    prev[mu] = part.reshape(hi - lo, -1, hi - lo)
+                else:
+                    prev[mu] += part.reshape(prev[mu].shape)
+        cur = prev
+    out = np.empty(fact)
+    out[gather] = cur[0].ravel()
+    return out
 
 
 def convolve(q, h) -> np.ndarray:

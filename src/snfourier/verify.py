@@ -116,8 +116,10 @@ def _check_parseval(n_max, rng):
 
 def _check_convolution_duality(n_max, rng):
     name = "convolution duality"
+    # the direct convolution is O((n!)^2): 6 s a call at n = 7, minutes at 8
+    top = min(n_max, 7)
     worst = 0.0
-    for n in range(2, n_max + 1):
+    for n in range(2, top + 1):
         fact = math.factorial(n)
         for _ in range(4):
             q = _random_probability(rng, fact)
@@ -132,7 +134,8 @@ def _check_convolution_duality(n_max, rng):
                     worst = max(
                         worst, float(np.max(np.abs(lhs.blocks[lam] - block)))
                     )
-    return CheckResult(name, worst <= 1e-10, f"max block deviation = {worst:.2e}")
+    return CheckResult(name, worst <= 1e-10,
+                       f"max block deviation = {worst:.2e}, n <= {top}")
 
 
 def _check_claim1(n_max, rng):

@@ -20,29 +20,33 @@ from .perms import Permutation
 Tableau = tuple[tuple[int, ...], ...]
 
 
+def corners(lam: Partition):
+    """(row, mu) per corner of lam (weight >= 2), mu being lam without that
+    box; bottom row first, the order in which last-letter bases list their
+    blocks."""
+    parts = lam.parts
+    for i in range(len(parts) - 1, -1, -1):
+        if i == len(parts) - 1 or parts[i] > parts[i + 1]:
+            rest = parts[:i] + (parts[i] - 1,) + parts[i + 1 :]
+            yield i, Partition(tuple(p for p in rest if p))
+
+
 @lru_cache(maxsize=None)
 def standard_tableaux(lam: Partition) -> tuple[Tableau, ...]:
-    """All standard Young tableaux of shape lam, in last-letter order."""
+    """All standard Young tableaux of shape lam, in last-letter order.
+
+    Tableaux whose largest entry n sits in a lower corner come first; within
+    one corner, the order is that of the tableaux of the smaller shape.
+    """
     n = lam.weight
-
-    def rec(shape: tuple[int, ...]):
-        if sum(shape) == 0:
-            yield ()
-            return
-        m = sum(shape)
-        # corners scanned bottom row first puts tableaux with m lower earlier
-        for i in range(len(shape) - 1, -1, -1):
-            if shape[i] > 0 and (i == len(shape) - 1 or shape[i] > shape[i + 1]):
-                smaller = shape[:i] + (shape[i] - 1,) + shape[i + 1 :]
-                for partial in rec(smaller):
-                    yield partial + ((i, shape[i] - 1, m),)
-
+    if n == 1:
+        return (((1,),),)
     out = []
-    for placements in rec(lam.parts):
-        rows: list[list[int]] = [[0] * p for p in lam.parts]
-        for i, j, value in placements:
-            rows[i][j] = value
-        out.append(tuple(tuple(r) for r in rows if r))
+    for row, mu in corners(lam):
+        for tab in standard_tableaux(mu):
+            rows = list(tab) + [()]
+            rows[row] += (n,)
+            out.append(tuple(r for r in rows if r))
     return tuple(out)
 
 

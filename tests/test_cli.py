@@ -16,7 +16,7 @@ from snfourier import cli
 from snfourier.cli import main
 from snfourier.partitions import irrep_dimension
 from snfourier.pipeline import run_plan
-from snfourier.serialize import function_to_csv, plan_from_json
+from snfourier.serialize import function_to_csv, plan_from_json, spectrum_from_json
 from snfourier.transform import gft_forward
 
 PLAN_N3 = """
@@ -186,8 +186,18 @@ def _huge_count(count):
     return {"kind": "empirical", "dataset": [{"one_line": [1, 2, 3], "count": count}]}
 
 
-def _cap_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+def _address_space_cap(limit):
+    return lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def _run_module(cwd, limit, *argv):
+    """snfourier in a child process whose address space is capped at limit bytes."""
+    src = str(Path(snfourier.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "snfourier.cli", *argv],
+        cwd=cwd, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=30, preexec_fn=_address_space_cap(limit),
+    )
 
 
 @pytest.mark.parametrize("plan", [
@@ -199,16 +209,39 @@ def _cap_address_space():
 ], ids=["d=10**8", "d=2**64+1", "d=10**400", "count=10**400", "sharpening=10**400"])
 def test_run_with_huge_plan_integers_exits_cleanly(tmp_path, plan):
     (tmp_path / "plan.json").write_text(json.dumps(plan))
-    src = str(Path(snfourier.__file__).parents[1])
-    done = subprocess.run(
-        [sys.executable, "-m", "snfourier.cli", "run", "--plan", "plan.json",
-         "--out", "out"],
-        cwd=tmp_path, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
-        timeout=30, preexec_fn=_cap_address_space,
-    )
+    done = _run_module(tmp_path, 2 << 30, "run", "--plan", "plan.json", "--out", "out")
     assert done.returncode in (0, 2)
     assert len(done.stderr.splitlines()) == (done.returncode != 0)
     assert "Traceback" not in done.stderr
+
+
+PLAN_N8 = {"n": 8, "seed": 8, "steps": [
+    step for items in ([2, 5], [7, 1, 4], [3, 8]) for step in (
+        {"type": "diffusion", "p": 0.7, "d": 2},
+        {"type": "conditioning",
+         "observation": {"kind": "ranking", "items": items, "s": 0.8}})]}
+
+
+def test_fourier_commands_run_at_n8_within_1_gib(tmp_path):
+    (tmp_path / "plan.json").write_text(json.dumps(PLAN_N8))
+    rng = np.random.default_rng(8)
+    h = rng.standard_normal(math.factorial(8))
+    (tmp_path / "h.csv").write_text(function_to_csv(h / np.linalg.norm(h)))
+    commands = {
+        "run": (["--plan", "plan.json"],
+                ["ledger.jsonl", "posterior.csv", "report.json", "spectrum.json"]),
+        "spectrum": (["--input", "h.csv"], ["energies.json", "spectrum.json"]),
+        "sample": (["--plan", "plan.json", "--mode", "fourier", "--count", "100"],
+                   ["distribution.json", "samples.csv"]),
+    }
+    for command, (args, files) in commands.items():
+        done = _run_module(tmp_path, 1 << 30, command, *args, "--out", command)
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stderr
+        assert sorted(p.name for p in (tmp_path / command).iterdir()) == files
+        if "spectrum.json" in files:
+            text = (tmp_path / command / "spectrum.json").read_text()
+            assert spectrum_from_json(text).total_energy() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_verify_passes(capsys):

@@ -1,4 +1,5 @@
-"""Fourier layer: forward and inverse transform, QFT matrix, convolution."""
+"""Fourier layer: forward and inverse transform, convolution, and the FFT
+cross-checked against the dense routes it replaced."""
 
 import math
 
@@ -10,7 +11,7 @@ from snfourier.errors import DegreeGuardError
 from snfourier.partitions import Partition, enumerate_partitions, irrep_dimension
 from snfourier.perms import Permutation
 from snfourier.transform import FourierSpectrum, convolve, convolve_spectra, \
-    function_degree, gft_forward, gft_inverse, left_shift, qft_matrix
+    function_degree, gft_forward, gft_inverse, left_shift
 from snfourier.yor import irrep_of
 
 RNG = np.random.default_rng(11)
@@ -116,21 +117,44 @@ def test_sampling_distribution_rejects_plain_spectra_and_zero_function():
         gft_forward(np.zeros(6), "unitary").sampling_distribution()
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_fft_matches_dense_oracle(n):
+    h = RNG.standard_normal(math.factorial(n))
+    for norm in ("plain", "unitary"):
+        fast = gft_forward(h, norm)
+        dense = oracles.dense_gft_forward(h, norm)
+        for lam in enumerate_partitions(n):
+            assert np.max(np.abs(fast.blocks[lam] - dense.blocks[lam])) <= 1e-12
+        # an arbitrary spectrum, not one the forward transform produced
+        spec = FourierSpectrum(n, norm, {
+            lam: RNG.standard_normal((irrep_dimension(lam),) * 2)
+            for lam in enumerate_partitions(n)})
+        assert np.max(np.abs(gft_inverse(spec) - oracles.dense_gft_inverse(spec))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_fft_parseval_and_roundtrip_beyond_the_dense_route(n):
+    h = oracles.random_unit(RNG, math.factorial(n))
+    assert abs(gft_forward(h, "unitary").total_energy() - 1.0) <= 1e-12
+    for norm in ("plain", "unitary"):
+        assert np.max(np.abs(gft_inverse(gft_forward(h, norm)) - h)) <= 1e-12
+
+
 def test_qft_n2_frozen():
     expected = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-    assert np.allclose(qft_matrix(2), expected, atol=1e-15)
+    assert np.allclose(oracles.qft_matrix(2), expected, atol=1e-15)
 
 
 def test_qft_orthogonal():
     for n in range(1, 6):
-        f = qft_matrix(n)
+        f = oracles.qft_matrix(n)
         gram = f.T @ f
         assert np.max(np.abs(gram - np.eye(math.factorial(n)))) < 1e-10
 
 
 def test_qft_delta_column_is_flattened_init_spectrum():
     for n in (3, 4):
-        col = qft_matrix(n) @ delta_at_identity(n)
+        col = oracles.qft_matrix(n) @ delta_at_identity(n)
         spec = gft_forward(delta_at_identity(n), "unitary")
         flat = np.concatenate([spec.blocks[lam].ravel()
                                for lam in enumerate_partitions(n)])
@@ -139,7 +163,7 @@ def test_qft_delta_column_is_flattened_init_spectrum():
 
 def test_qft_guard():
     with pytest.raises(DegreeGuardError):
-        qft_matrix(8)
+        oracles.qft_matrix(8)
 
 
 def test_convolve_with_delta_is_identity():

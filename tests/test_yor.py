@@ -161,3 +161,24 @@ def test_irrep_stack_readonly_and_cached():
     s1 = irrep_stack(3, lam)
     assert s1 is irrep_stack(3, lam)
     assert not s1.flags.writeable
+
+
+def test_restriction_is_block_diagonal_bottom_corner_first():
+    # the coset-recursion FFT reads rho_lam on S_{k-1} as the direct sum of
+    # rho_mu over the corners mu of lam, in last-letter order
+    for k in range(2, 7):
+        for lam in enumerate_partitions(k):
+            parts = lam.parts
+            corners = [i for i in range(len(parts) - 1, -1, -1)
+                       if i == len(parts) - 1 or parts[i] > parts[i + 1]]
+            mus = [Partition(tuple(p for p in parts[:i] + (parts[i] - 1,) + parts[i + 1:]
+                                   if p)) for i in corners]
+            for line in oracles.all_perms_lex(k - 1):
+                expected = np.zeros((irrep_dimension(lam),) * 2)
+                lo = 0
+                for mu in mus:
+                    hi = lo + irrep_dimension(mu)
+                    expected[lo:hi, lo:hi] = irrep_of(mu, Permutation(line))
+                    lo = hi
+                got = irrep_of(lam, Permutation(line + (k,)))
+                assert np.max(np.abs(got - expected)) <= 1e-14
