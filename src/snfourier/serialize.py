@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .conditioning import Observation
-from .errors import PlanValidationError
+from .errors import PlanValidationError, check_degree
 from .partitions import Partition, enumerate_partitions
 from .perms import all_one_lines
 from .pipeline import DiffusionStep, EmpiricalInitial, ExperimentPlan, RunReport
@@ -34,6 +34,40 @@ def format_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite value {x!r}")
     return f"{x:.17g}"
+
+
+def _format_floats(template: str, values: np.ndarray) -> str:
+    """template % values, with one %.17g field per value in C order.
+
+    Finiteness is checked once per array; a non-finite value raises
+    format_float's error, naming the first one.
+    """
+    finite = np.isfinite(values)
+    if not finite.all():
+        format_float(values[~finite][0])
+    return template % tuple(values.ravel().tolist())
+
+
+def _ranked_rows(cells: np.ndarray) -> str:
+    """Template of "{rank},{cells[rank]}%.17g" lines from a uint8 byte table.
+
+    A rank has a fixed width inside each decade (0-9, 10-99, ...), so each
+    decade is built as one byte array.
+    """
+    tail = np.frombuffer(b"%.17g\n", dtype=np.uint8)
+    decades = []
+    lo, width = 0, 1
+    while lo < len(cells):
+        hi = min(10**width, len(cells))
+        rows = np.empty((hi - lo, width + 1 + cells.shape[1] + len(tail)), dtype=np.uint8)
+        ranks = np.arange(lo, hi)[:, None]
+        rows[:, :width] = ranks // 10 ** np.arange(width - 1, -1, -1) % 10 + ord("0")
+        rows[:, width] = ord(",")
+        rows[:, width + 1:-len(tail)] = cells[lo:hi]
+        rows[:, -len(tail):] = tail
+        decades.append(rows.tobytes())
+        lo, width = hi, width + 1
+    return b"".join(decades).decode("ascii")
 
 
 def _write_json(obj) -> str:
@@ -57,10 +91,12 @@ def _write_json(obj) -> str:
             for key, value in obj.items()
         )
         return "{" + body + "}"
-    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f":
-        if not np.isfinite(obj).all():
-            format_float(obj[~np.isfinite(obj)][0])  # raises, naming the first bad value
-        return "[" + ", ".join(f"{x:.17g}" for x in obj.tolist()) + "]"
+    if isinstance(obj, np.ndarray) and obj.ndim in (1, 2) and obj.dtype.kind == "f":
+        # a vector, or a whole spectrum block, is written by one % call
+        row = "[" + ", ".join(["%.17g"] * obj.shape[-1]) + "]"
+        if obj.ndim == 2:
+            row = "[" + ", ".join([row] * len(obj)) + "]"
+        return _format_floats(row, obj)
     if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ", ".join(_write_json(value) for value in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -102,9 +138,8 @@ def spectrum_from_json(text: str) -> FourierSpectrum:
 def function_to_csv(values) -> str:
     arr = np.asarray(values, dtype=np.float64)
     function_degree(arr)
-    lines = ["rank,value"]
-    lines += [f"{rank},{format_float(value)}" for rank, value in enumerate(arr)]
-    return "\n".join(lines) + "\n"
+    no_cells = np.empty((len(arr), 0), dtype=np.uint8)
+    return "rank,value\n" + _format_floats(_ranked_rows(no_cells), arr)
 
 
 def function_from_csv(text: str) -> np.ndarray:
@@ -134,13 +169,12 @@ def function_from_csv(text: str) -> np.ndarray:
 
 def posterior_to_csv(posterior) -> str:
     arr = np.asarray(posterior, dtype=np.float64)
-    n = function_degree(arr)
-    if not np.isfinite(arr).all():
-        raise ValueError("cannot serialize non-finite posterior values")
-    lines = ["rank,one_line,probability"]
-    for rank, (row, value) in enumerate(zip(all_one_lines(n).tolist(), arr.tolist())):
-        lines.append(f"{rank},{' '.join(map(str, row))},{value:.17g}")
-    return "\n".join(lines) + "\n"
+    n = check_degree(function_degree(arr))
+    # n <= 9, so each entry of a one-line form is a single digit
+    cells = np.full((len(arr), 2 * n), ord(" "), dtype=np.uint8)
+    cells[:, ::2] = all_one_lines(n) + ord("0")
+    cells[:, -1] = ord(",")
+    return "rank,one_line,probability\n" + _format_floats(_ranked_rows(cells), arr)
 
 
 def samples_to_csv(draws) -> str:

@@ -7,6 +7,7 @@ O((n!)^2) construction that the coset-recursion transform replaces.
 """
 
 import itertools
+import json
 import math
 from functools import lru_cache
 
@@ -144,6 +145,28 @@ def qft_matrix(n):
         d = irrep_dimension(lam)
         rows.append(math.sqrt(d / fact) * irrep_stack(n, lam).reshape(fact, d * d).T)
     return np.vstack(rows)
+
+
+def posterior_csv_rows(posterior):
+    """posterior_to_csv's text, built one f-string per row."""
+    values = np.asarray(posterior, dtype=np.float64).tolist()
+    lines = ["rank,one_line,probability"]
+    for rank, (row, value) in enumerate(zip(all_perms_lex(function_degree(values)), values)):
+        lines.append(f"{rank},{' '.join(map(str, row))},{value:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def spectrum_json_rows(spectrum):
+    """spectrum_to_json's text, built one f-string per entry."""
+    def matrix(block):
+        rows = ("[" + ", ".join(f"{x:.17g}" for x in row) + "]" for row in block.tolist())
+        return "[" + ", ".join(rows) + "]"
+
+    blocks = ", ".join(
+        f'{json.dumps("[" + ",".join(map(str, lam.parts)) + "]")}: {matrix(spectrum.blocks[lam])}'
+        for lam in enumerate_partitions(spectrum.n)
+    )
+    return f'{{"normalization": {json.dumps(spectrum.normalization)}, "blocks": {{{blocks}}}}}\n'
 
 
 def markov_matrix_oracle(n, q_values):

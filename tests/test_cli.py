@@ -244,6 +244,16 @@ def test_fourier_commands_run_at_n8_within_1_gib(tmp_path):
             assert spectrum_from_json(text).total_energy() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_run_at_n9_within_1_gib(tmp_path):
+    (tmp_path / "plan.json").write_text(json.dumps({**PLAN_N8, "n": 9, "seed": 9}))
+    done = _run_module(tmp_path, 1 << 30, "run", "--plan", "plan.json", "--out", "out")
+    assert done.returncode == 0, done.stderr
+    with open(tmp_path / "out" / "posterior.csv") as fh:
+        assert sum(1 for _ in fh) == math.factorial(9) + 1
+    text = (tmp_path / "out" / "spectrum.json").read_text()
+    assert spectrum_from_json(text).total_energy() == pytest.approx(1.0, abs=1e-12)
+
+
 def test_verify_passes(capsys):
     assert run_cli("verify", "--n-max", "3") == 0
     out = capsys.readouterr().out

@@ -171,6 +171,41 @@ def test_posterior_csv_rejects_nan():
         posterior_to_csv(posterior)
 
 
+@pytest.mark.parametrize("writer", [posterior_to_csv, function_to_csv])
+def test_csv_writers_name_the_first_non_finite_value(writer):
+    with pytest.raises(ValueError, match="non-finite value -inf"):
+        writer([0.5, 0.5, -math.inf, math.nan, 0.0, 0.0])
+
+
+def test_posterior_csv_guards_the_degree():
+    # the one-digit label layout holds for n <= 9 only
+    with pytest.raises(DegreeGuardError):
+        posterior_to_csv(np.zeros(math.factorial(10)))
+
+
+PLANTED = (0.0, -0.0, 5e-324, 1e-300, 1 / 3, -2.5e17)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_writers_match_row_by_row_oracles(n):
+    rng = np.random.default_rng(n)
+    fact = math.factorial(n)
+    posterior = rng.random(fact)
+    # the first ranks, and both sides of each rank-width boundary below n!
+    ranks = [*range(min(fact, 6)), *(r for r in (9, 10, 99, 100, 999, 1000, 9999, 10000)
+                                     if r < fact)]
+    posterior[ranks] = np.resize(PLANTED, len(ranks))
+    assert posterior_to_csv(posterior) == oracles.posterior_csv_rows(posterior)
+    assert function_to_csv(posterior) == "rank,value\n" + "".join(
+        f"{rank},{format_float(value)}\n" for rank, value in enumerate(posterior))
+
+    spectrum = gft_forward(oracles.random_unit(rng, fact), "unitary")
+    for i, block in enumerate(spectrum.blocks.values()):
+        k = min(block.size, len(PLANTED))
+        block.flat[:k] = np.roll(PLANTED, i)[:k]
+    assert spectrum_to_json(spectrum) == oracles.spectrum_json_rows(spectrum)
+
+
 def test_samples_csv():
     from snfourier.perms import Permutation
 
