@@ -49,7 +49,7 @@ def _format_floats(template: str, values: np.ndarray) -> str:
 
 
 def _ranked_rows(cells: np.ndarray) -> str:
-    """Template of "{rank},{cells[rank]}%.17g" lines from a uint8 byte table.
+    """Template of "{rank},{cells[rank]}%.17g" lines from a table of ASCII bytes, no "%".
 
     A rank has a fixed width inside each decade (0-9, 10-99, ...), so each
     decade is built as one byte array.
