@@ -5,16 +5,14 @@ constrains the relative order of a chain of items (ranking, listed first to
 last). The likelihood is two-valued: s on consistent permutations, 1-s
 elsewhere, with s in (0.5, 1]; s = 1 is the hard projector.
 
-Two interchangeable update routes share one body, the likelihood product
-and its post-selection, and differ only in the mask of consistent basis
-labels they pass it. The direct route evaluates the predicate on every
-label. The window route models a circuit that right-translates the basis,
-sigma -> sigma*pi, so the touched items occupy the leading (or trailing)
-one-line slots, where consistency is readable from a fixed window of Lehmer
-digits. Those digits depend only on the values sigma puts in the window, so
-the simulator reads them from the one-line columns pi moves there and never
-relabels the state; it reproduces the direct route exactly and reports swap
-counts below k*n per direction.
+The update is the pointwise product of the likelihood with the state in the
+permutation basis, then post-selection, over one mask of consistent basis
+labels. A circuit would evaluate the same predicate by right-translating the
+basis, sigma -> sigma*pi, so the touched items occupy the leading (or
+trailing) one-line slots, and reading a fixed window of Lehmer digits there;
+reorder_update_condition reports the swaps that relabeling costs. The
+window readout itself lives in verify, as the oracle the mask is checked
+against.
 """
 
 from __future__ import annotations
@@ -105,28 +103,19 @@ def _consistent_mask(obs: Observation, n: int) -> np.ndarray:
     return np.all(pos[:, 1:] > pos[:, :-1], axis=1)
 
 
-def _scale_factors(mask: np.ndarray, s: float, encoding: str) -> np.ndarray:
-    like = np.where(mask, s, 1.0 - s)
-    return np.sqrt(like) if encoding == "born" else like
-
-
-def _condition(state, obs: Observation, encoding: str, mask_of) -> tuple:
-    """Likelihood product on the labels mask_of(n) marks, then post-selection."""
+def bayes_update(
+    state, obs: Observation, encoding: str = "amplitude"
+) -> tuple[np.ndarray, float]:
+    """Pointwise likelihood product and renormalization; returns (state, p_s)."""
     values = checked_state(state, encoding)
     n = function_degree(values)
     obs.check_degree(n)
     if obs.is_empty:
         return values.copy(), 1.0
-    scaled = values * _scale_factors(mask_of(n), obs.s, encoding)
+    like = np.where(_consistent_mask(obs, n), obs.s, 1.0 - obs.s)
+    scaled = values * (np.sqrt(like) if encoding == "born" else like)
     p_s = float(np.sum(scaled * scaled))
     return renormalized(scaled, p_s, "conditioning"), p_s
-
-
-def bayes_update(
-    state, obs: Observation, encoding: str = "amplitude"
-) -> tuple[np.ndarray, float]:
-    """Pointwise likelihood product and renormalization; returns (state, p_s)."""
-    return _condition(state, obs, encoding, lambda n: _consistent_mask(obs, n))
 
 
 def success_probability_conditioning(h, obs: Observation) -> float:
@@ -151,7 +140,7 @@ def success_probability_conditioning(h, obs: Observation) -> float:
 
 
 class CostReport(NamedTuple):
-    """Operation counts of the reorder route."""
+    """Swap counts of the circuit that reads the observation from a digit window."""
 
     window: str
     forward_swaps: int
@@ -159,49 +148,17 @@ class CostReport(NamedTuple):
     digits_compared: int
 
 
-def _window_digits(vals, window: str) -> np.ndarray:
-    """Lehmer digits of the window slots, row by row, from the values they hold.
-
-    A front-window digit counts the smaller values in all later slots, which
-    is v - 1 less the smaller values earlier in the window; a back-window
-    digit counts them in the later window slots only, so there any values in
-    the same relative order, such as chain ranks, give the same digits.
-    """
-    vals = np.atleast_2d(vals)
-    out = np.empty_like(vals)
-    for m in range(vals.shape[1]):
-        if window == "front":
-            out[:, m] = vals[:, m] - 1 - np.sum(vals[:, :m] < vals[:, m:m + 1], axis=1)
-        else:
-            out[:, m] = np.sum(vals[:, m + 1:] < vals[:, m:m + 1], axis=1)
-    return out
-
-
-def _window_mask(obs: Observation, n: int, window: str) -> np.ndarray:
-    """Consistency read from window digits: pi moves the touched slots idx into
-    the window in ascending order, so window slot m of sigma*pi holds sigma(idx[m])."""
-    # surrogate window values: assigned positions, or ranks along the chain
-    pairs = (zip(obs.indices, obs.values) if obs.kind == "assignment"
-             else ((item, rank) for rank, item in enumerate(obs.items)))
-    idx, surrogate = zip(*sorted(pairs))
-    moved = all_one_lines(n)[:, [i - 1 for i in idx]]
-    expected = _window_digits(surrogate, window)
-    return np.all(_window_digits(moved, window) == expected, axis=1)
-
-
 def reorder_update_condition(
     state, obs: Observation, encoding: str = "amplitude"
 ) -> tuple[np.ndarray, float, CostReport]:
-    """Digit-window route to the same posterior as bayes_update.
+    """bayes_update, plus the swap counts of the circuit's window readout.
 
-    Tests every basis label sigma by the window Lehmer digits of sigma*pi,
-    read from the one-line columns pi moves into the window, instead of the
-    full predicate; the basis is never relabeled.
+    Assignments read a front window and rankings a back window; the counts
+    are plan arithmetic from reorder_sequence, and the basis is never
+    relabeled.
     """
+    posterior, p_s = bayes_update(state, obs, encoding)
     window = "front" if obs.kind == "assignment" else "back"
-    posterior, p_s = _condition(
-        state, obs, encoding, lambda n: _window_mask(obs, n, window)
-    )
     touched = () if obs.is_empty else obs.touched()
     # a circuit relabels by the swaps of seq and uncomputes them afterwards
     _, seq = reorder_sequence(function_degree(posterior), touched, f"to_{window}")

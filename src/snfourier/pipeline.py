@@ -324,7 +324,8 @@ def sample_fourier(
 def state_prep_unitary(psi) -> np.ndarray:
     """Householder reflection carrying the rank-0 basis vector onto psi."""
     target = np.asarray(psi, dtype=np.float64)
-    function_degree(target)
+    # the reflection is a dense (n!)^2 matrix: 13 GB at n = 8
+    check_degree(function_degree(target), guard=4)
     check_unit_norm(float(np.sum(target * target)))
     diff = target.copy()
     diff[0] -= 1.0

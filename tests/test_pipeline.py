@@ -12,6 +12,7 @@ from snfourier.conditioning import Observation
 from snfourier.diffusion import kernel_as_function
 from snfourier.errors import AnnihilatedStateError, DegreeGuardError
 from snfourier.partitions import Partition, irrep_dimension, enumerate_partitions
+from snfourier.perms import reorder_sequence
 from snfourier.pipeline import DiffusionStep, EmpiricalInitial, \
     ExperimentPlan, ModelState, amplification_cost, run_plan, sample_computational, \
     sample_fourier, sharpen_map, state_prep_unitary, verify_posterior_block_encoding
@@ -81,6 +82,28 @@ def random_plan(n, rng, hard_ok=False):
                 )
             steps.append(obs)
     return ExperimentPlan(n=n, steps=tuple(steps))
+
+
+def test_ledger_swaps_count_relabel_and_uncompute():
+    rng = np.random.default_rng(4711)
+    empty = (Observation(kind="assignment", s=0.8),
+             Observation(kind="ranking", items=(2,), s=0.9))
+    total = 0
+    for _ in range(12):
+        n = int(rng.integers(3, 7))
+        plan = ExperimentPlan(n=n, steps=random_plan(n, rng).steps + empty)
+        _, report = run_plan(plan)
+        entries = [e for e in report.ledger if e["type"] == "conditioning"]
+        observations = [s for s in plan.steps if isinstance(s, Observation)]
+        assert len(entries) == len(observations)
+        for entry, obs in zip(entries, observations):
+            if obs.is_empty:
+                assert entry["swaps"] == 0
+                continue
+            mode = "to_front" if obs.kind == "assignment" else "to_back"
+            assert entry["swaps"] == 2 * len(reorder_sequence(n, obs.touched(), mode)[1])
+            total += entry["swaps"]
+    assert total > 0
 
 
 def test_empty_plan_is_identity():
@@ -411,4 +434,7 @@ def test_block_encoding_guard():
     big = np.zeros(math.factorial(5))
     big[0] = 1.0
     with pytest.raises(DegreeGuardError):
-        verify_posterior_block_encoding(state_prep_unitary(big))
+        state_prep_unitary(big)
+    # the identity prepares the same state without state_prep_unitary's guard
+    with pytest.raises(DegreeGuardError):
+        verify_posterior_block_encoding(np.eye(math.factorial(5)))
