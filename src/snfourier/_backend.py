@@ -3,7 +3,6 @@ rank-order tables that it and transform.convolve read.
 """
 
 import importlib.util
-import itertools
 import math
 from functools import lru_cache
 
@@ -66,10 +65,18 @@ def all_digits(n):
 
 @lru_cache(maxsize=None)
 def all_perms0(n):
-    """One-line forms (0-based values) of all ranks, rank order = lex order."""
-    out = np.array(
-        list(itertools.permutations(range(n))), dtype=np.int64
-    ).reshape(math.factorial(n), n)
+    """One-line forms (0-based values) of all ranks, rank order = lex order.
+
+    The rows of S_k with first value j are j followed by the rows of S_{k-1}
+    with the values >= j moved up by one, which keeps them in lex order.
+    """
+    out = np.zeros((1, 0), dtype=np.uint8)
+    for k in range(1, n + 1):
+        prev, out = out, np.empty((k * len(out), k), dtype=np.uint8)
+        for j in range(k):
+            block = out[j * len(prev):(j + 1) * len(prev)]
+            block[:, 0] = j
+            block[:, 1:] = prev + (prev >= j)
     out.flags.writeable = False
     return out
 

@@ -17,6 +17,7 @@ against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -112,8 +113,10 @@ def bayes_update(
     obs.check_degree(n)
     if obs.is_empty:
         return values.copy(), 1.0
-    like = np.where(_consistent_mask(obs, n), obs.s, 1.0 - obs.s)
-    scaled = values * (np.sqrt(like) if encoding == "born" else like)
+    weights = (obs.s, 1.0 - obs.s)
+    if encoding == "born":
+        weights = tuple(map(math.sqrt, weights))
+    scaled = values * np.where(_consistent_mask(obs, n), *weights)
     p_s = float(np.sum(scaled * scaled))
     return renormalized(scaled, p_s, "conditioning"), p_s
 
@@ -140,26 +143,24 @@ def success_probability_conditioning(h, obs: Observation) -> float:
 
 
 class CostReport(NamedTuple):
-    """Swap counts of the circuit that reads the observation from a digit window."""
+    """Digit window the circuit reads the observation from, and the adjacent
+    swaps that relabel the basis onto it; uncomputing costs as many again."""
 
     window: str
-    forward_swaps: int
-    inverse_swaps: int
-    digits_compared: int
+    swaps: int
 
 
 def reorder_update_condition(
     state, obs: Observation, encoding: str = "amplitude"
 ) -> tuple[np.ndarray, float, CostReport]:
-    """bayes_update, plus the swap counts of the circuit's window readout.
+    """bayes_update, plus the swap count of the circuit's window readout.
 
-    Assignments read a front window and rankings a back window; the counts
-    are plan arithmetic from reorder_sequence, and the basis is never
+    Assignments read a front window and rankings a back window; the count
+    is plan arithmetic from reorder_sequence, and the basis is never
     relabeled.
     """
     posterior, p_s = bayes_update(state, obs, encoding)
     window = "front" if obs.kind == "assignment" else "back"
     touched = () if obs.is_empty else obs.touched()
-    # a circuit relabels by the swaps of seq and uncomputes them afterwards
     _, seq = reorder_sequence(function_degree(posterior), touched, f"to_{window}")
-    return posterior, p_s, CostReport(window, len(seq), len(seq), len(touched))
+    return posterior, p_s, CostReport(window, len(seq))

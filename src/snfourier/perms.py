@@ -173,7 +173,7 @@ def register_qubits(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def all_one_lines(n: int) -> np.ndarray:
-    """(n!, n) array of 1-based one-line forms, row r = permutation of rank r."""
+    """(n!, n) uint8 array of 1-based one-line forms, row r = permutation of rank r."""
     out = _backend.all_perms0(n) + 1
     out.flags.writeable = False
     return out

@@ -22,6 +22,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
+from . import _backend
 from .conditioning import Observation, reorder_update_condition
 from .diffusion import DiffusionStep, apply_diffusion_spectral, float_power, \
     success_probability_lower_bound
@@ -29,7 +30,7 @@ from .diffusion import DiffusionStep, apply_diffusion_spectral, float_power, \
 from .diffusion import apply_diffusion_born
 from .errors import ENCODINGS, PlanValidationError, check_degree, check_unit_norm, \
     checked_state, renormalized
-from .perms import Permutation, all_one_lines, lehmer_encode, lehmer_rank
+from .perms import Permutation, all_one_lines
 from .transform import function_degree, gft_forward, gft_inverse
 
 
@@ -90,9 +91,10 @@ class EmpiricalInitial:
         return len(self.entries[0][0])
 
     def counts_vector(self, n: int) -> np.ndarray:
+        ranks = _backend.encode_batch([one_line for one_line, _ in self.entries])
         counts = np.zeros(math.factorial(n))
-        for one_line, count in self.entries:
-            counts[lehmer_rank(lehmer_encode(Permutation(one_line)))] += count
+        # unbuffered, in entry order: repeated ranks add up as a loop would
+        np.add.at(counts, ranks, [float(count) for _, count in self.entries])
         return counts
 
 
@@ -250,7 +252,8 @@ def run_plan(plan: ExperimentPlan) -> tuple[ModelState, RunReport]:
             ledger.append({
                 "step": number, "type": "conditioning", "kind": step.kind,
                 "s": step.s, "success_prob": p_s, "bound": p_s,
-                "swaps": cost.forward_swaps + cost.inverse_swaps,
+                # the relabeling swaps, then as many to uncompute them
+                "swaps": 2 * cost.swaps,
             })
     state = ModelState(amplitudes=amps, encoding=plan.encoding)
     if plan.sharpening is not None:
@@ -298,13 +301,17 @@ def sharpen_map(state: ModelState, m: int) -> tuple[ModelState, float]:
     return ModelState(amplitudes=amps, encoding=state.encoding), p_s
 
 
-def sample_computational(state: ModelState, count: int, seed: int) -> list:
-    """Measure in the permutation basis: count draws with Pr ~ amplitude^2."""
+def sample_computational(state: ModelState, count: int, seed: int) -> np.ndarray:
+    """Measure in the permutation basis: count draws with Pr ~ amplitude^2.
+
+    Returns a (count, n) uint8 array; row i is the 1-based one-line form of
+    draw i.
+    """
     probs = state.amplitudes * state.amplitudes
     probs = probs / probs.sum()
     rng = np.random.default_rng(seed)
     ranks = rng.choice(len(probs), size=int(count), p=probs)
-    return [Permutation(tuple(row)) for row in all_one_lines(state.n)[ranks].tolist()]
+    return all_one_lines(state.n)[ranks]
 
 
 def sample_fourier(

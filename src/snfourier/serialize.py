@@ -48,13 +48,14 @@ def _format_floats(template: str, values: np.ndarray) -> str:
     return template % tuple(values.ravel().tolist())
 
 
-def _ranked_rows(cells: np.ndarray) -> str:
-    """Template of "{rank},{cells[rank]}%.17g" lines from a table of ASCII bytes, no "%".
+def _ranked_rows(cells: np.ndarray, tail: bytes) -> str:
+    r"""Lines "{rank},{cells[rank]}{tail}" from a table of ASCII bytes, no "%".
 
-    A rank has a fixed width inside each decade (0-9, 10-99, ...), so each
-    decade is built as one byte array.
+    With tail b"%.17g\n" the text is a template for one float per row; with
+    b"\n" it is final. A rank has a fixed width inside each decade (0-9,
+    10-99, ...), so each decade is built as one byte array.
     """
-    tail = np.frombuffer(b"%.17g\n", dtype=np.uint8)
+    tail = np.frombuffer(tail, dtype=np.uint8)
     decades = []
     lo, width = 0, 1
     while lo < len(cells):
@@ -139,7 +140,7 @@ def function_to_csv(values) -> str:
     arr = np.asarray(values, dtype=np.float64)
     function_degree(arr)
     no_cells = np.empty((len(arr), 0), dtype=np.uint8)
-    return "rank,value\n" + _format_floats(_ranked_rows(no_cells), arr)
+    return "rank,value\n" + _format_floats(_ranked_rows(no_cells, b"%.17g\n"), arr)
 
 
 def function_from_csv(text: str) -> np.ndarray:
@@ -174,14 +175,18 @@ def posterior_to_csv(posterior) -> str:
     cells = np.full((len(arr), 2 * n), ord(" "), dtype=np.uint8)
     cells[:, ::2] = all_one_lines(n) + ord("0")
     cells[:, -1] = ord(",")
-    return "rank,one_line,probability\n" + _format_floats(_ranked_rows(cells), arr)
+    return "rank,one_line,probability\n" + _format_floats(
+        _ranked_rows(cells, b"%.17g\n"), arr)
 
 
 def samples_to_csv(draws) -> str:
-    lines = ["draw,one_line"]
-    for index, perm in enumerate(draws):
-        lines.append(f"{index}," + " ".join(str(v) for v in perm.one_line))
-    return "\n".join(lines) + "\n"
+    """One "draw,one_line" row per row of a (count, n) array of one-line forms."""
+    rows = np.asarray(draws)
+    n = check_degree(rows.shape[1])
+    # n <= 9, so each entry is a single digit
+    cells = np.full((len(rows), 2 * n - 1), ord(" "), dtype=np.uint8)
+    cells[:, ::2] = rows + ord("0")
+    return "draw,one_line\n" + _ranked_rows(cells, b"\n")
 
 
 def partition_samples_to_csv(draws) -> str:

@@ -279,7 +279,7 @@ def _check_reorder_equivalence(n_max, rng):
                                   _consistent_mask(obs, n)):
                 return CheckResult(name, False, f"window mask differs at n={n}")
             budget = len(obs.touched()) * n
-            if cost.forward_swaps > budget or cost.inverse_swaps > budget:
+            if cost.swaps > budget:
                 return CheckResult(name, False, f"swap budget exceeded at n={n}")
             cases += 1
     return CheckResult(name, True, f"{cases} window masks equal the direct mask; swaps <= k*n")

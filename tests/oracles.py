@@ -156,6 +156,14 @@ def posterior_csv_rows(posterior):
     return "\n".join(lines) + "\n"
 
 
+def samples_csv_rows(draws):
+    """samples_to_csv's text, built one f-string per draw."""
+    lines = ["draw,one_line"]
+    for index, row in enumerate(np.asarray(draws).tolist()):
+        lines.append(f"{index}," + " ".join(str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
 def spectrum_json_rows(spectrum):
     """spectrum_to_json's text, built one f-string per entry."""
     def matrix(block):

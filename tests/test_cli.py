@@ -1,5 +1,7 @@
 """Command-line behavior: artifacts, exit codes, reproducibility."""
 
+import hashlib
+import itertools
 import json
 import math
 import os
@@ -254,6 +256,17 @@ def test_run_at_n9_within_1_gib(tmp_path):
     assert spectrum_from_json(text).total_energy() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_sample_at_n9_within_1_gib(tmp_path):
+    (tmp_path / "plan.json").write_text(json.dumps({**PLAN_N8, "n": 9, "seed": 9}))
+    done = _run_module(tmp_path, 1 << 30, "sample", "--plan", "plan.json", "--out", "out",
+                       "--count", "2000", "--mode", "computational")
+    assert done.returncode == 0, done.stderr
+    lines = (tmp_path / "out" / "samples.csv").read_text().splitlines()
+    assert lines[0] == "draw,one_line" and len(lines) == 2001
+    assert all(sorted(line.split(",")[1].split()) == list("123456789")
+               for line in lines[1:])
+
+
 def test_verify_passes(capsys):
     assert run_cli("verify", "--n-max", "3") == 0
     out = capsys.readouterr().out
@@ -359,6 +372,30 @@ def test_sample_computational_reproducible(tmp_path):
                    "--count", "200", "--seed", "999")
     assert code == 0
     assert (out_c / "samples.csv").read_text() != texts[0]
+
+
+# conditioning and sharpening only, so no BLAS call can move a probability
+PLAN_N8_CONDITIONED = {
+    "n": 8, "encoding": "born", "seed": 2024,
+    "initial": {"kind": "empirical", "dataset": [
+        {"one_line": list(line), "count": 1 + i % 5} for i, line in
+        enumerate(itertools.islice(itertools.permutations(range(1, 9)), 0, None, 1000))]},
+    "steps": [{"type": "conditioning", "observation": obs} for obs in (
+        {"kind": "assignment", "indices": [2, 5], "values": [6, 3], "s": 0.75},
+        {"kind": "ranking", "items": [7, 1, 4], "s": 0.8},
+        {"kind": "assignment", "indices": [8], "values": [5], "s": 0.9})],
+    "sharpening": 2,
+}
+
+
+def test_sample_computational_bytes_are_pinned_at_n8(tmp_path):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(PLAN_N8_CONDITIONED))
+    out = tmp_path / "out"
+    assert run_cli("sample", "--plan", str(plan), "--out", str(out), "--count", "2000",
+                   "--mode", "computational") == 0
+    digest = hashlib.sha256((out / "samples.csv").read_bytes()).hexdigest()
+    assert digest == "6eb28762784aab00d823e43e552c2149d67ddb11b780221401bdd088e219a34a"
 
 
 def test_sample_fourier_distribution(tmp_path):

@@ -213,8 +213,7 @@ def test_reorder_equals_bayes_randomized():
         _, _, cost = reorder_update_condition(psi, obs, encoding)
         assert np.array_equal(_window_mask(obs, n, cost.window), _consistent_mask(obs, n))
         moved = len(obs.indices) if obs.kind == "assignment" else len(obs.items)
-        assert cost.forward_swaps <= moved * n
-        assert cost.inverse_swaps <= moved * n
+        assert cost.swaps <= moved * n
 
 
 def test_reorder_equals_bayes_bitwise_at_n8():
@@ -239,7 +238,7 @@ def test_reorder_equals_bayes_bitwise_at_n8():
             routed, ps_routed, cost = reorder_update_condition(psi, obs, encoding)
             assert np.array_equal(routed, direct)
             assert ps_routed == ps_direct
-            assert cost.forward_swaps == cost.inverse_swaps == swaps
+            assert cost.swaps == swaps
 
 
 def test_reorder_route_never_relabels_the_basis(monkeypatch):
@@ -266,7 +265,7 @@ def test_empty_observation_is_noop():
         routed, ps_routed, cost = reorder_update_condition(psi, obs, "amplitude")
         assert ps_routed == 1.0
         assert np.array_equal(routed, psi)
-        assert cost.forward_swaps == 0
+        assert cost.swaps == 0
 
 
 def test_conditioning_breaks_left_equivariance():

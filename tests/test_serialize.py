@@ -207,11 +207,18 @@ def test_writers_match_row_by_row_oracles(n):
 
 
 def test_samples_csv():
-    from snfourier.perms import Permutation
-
-    draws = [Permutation((2, 1, 3)), Permutation((1, 2, 3))]
+    draws = np.array([[2, 1, 3], [1, 2, 3]], dtype=np.uint8)
     lines = samples_to_csv(draws).strip().split("\n")
     assert lines == ["draw,one_line", "0,2 1 3", "1,1 2 3"]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_samples_csv_matches_row_by_row_oracle(n):
+    rng = np.random.default_rng(n)
+    # 1, 10, 11, 100 and 1001 draws end on each side of the draw-index decades
+    for count in (1, 10, 11, 100, 1001):
+        draws = (np.argsort(rng.random((count, n)), axis=1) + 1).astype(np.uint8)
+        assert samples_to_csv(draws) == oracles.samples_csv_rows(draws)
 
 
 def test_ledger_jsonl():
