@@ -67,18 +67,21 @@ def all_digits(n):
 def all_perms0(n):
     """One-line forms (0-based values) of all ranks, rank order = lex order.
 
-    The rows of S_k with first value j are j followed by the rows of S_{k-1}
-    with the values >= j moved up by one, which keeps them in lex order.
+    Indexed [rank, slot]: the table is stored slot-major and returned
+    transposed, so each slot's column is one contiguous run of n! bytes.
+    The ranks of S_k with first value j are j followed by the ranks of
+    S_{k-1} with the values >= j moved up by one, which keeps them in lex
+    order.
     """
-    out = np.zeros((1, 0), dtype=np.uint8)
+    out = np.zeros((0, 1), dtype=np.uint8)
     for k in range(1, n + 1):
-        prev, out = out, np.empty((k * len(out), k), dtype=np.uint8)
+        prev, out = out, np.empty((k, k * out.shape[1]), dtype=np.uint8)
         for j in range(k):
-            block = out[j * len(prev):(j + 1) * len(prev)]
-            block[:, 0] = j
-            block[:, 1:] = prev + (prev >= j)
+            block = out[:, j * prev.shape[1]:(j + 1) * prev.shape[1]]
+            block[0] = j
+            block[1:] = prev + (prev >= j)
     out.flags.writeable = False
-    return out
+    return out.T
 
 
 @lru_cache(maxsize=None)

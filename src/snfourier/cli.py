@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 from .errors import AnnihilatedStateError, DegreeGuardError, PlanValidationError, \
@@ -101,6 +102,9 @@ def _cmd_sample(args) -> int:
     return _emit(args.out, files, f" ({args.count} draws)")
 
 
+# built once per process: in-process callers of main then leave no parser
+# graph behind per call for the cyclic collector
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="snfourier",

@@ -96,12 +96,16 @@ def consistency_predicate(obs: Observation, sigma: Permutation) -> bool:
 
 
 def _consistent_mask(obs: Observation, n: int) -> np.ndarray:
-    lines = all_one_lines(n)
+    # row i - 1 is slot i's contiguous column of one-line values
+    slots = all_one_lines(n).T
     if obs.kind == "assignment":
-        cols = np.asarray(obs.indices) - 1
-        return np.all(lines[:, cols] == np.asarray(obs.values), axis=1)
-    pos = lines[:, np.asarray(obs.items) - 1]
-    return np.all(pos[:, 1:] > pos[:, :-1], axis=1)
+        checks = (slots[i - 1] == v for i, v in zip(obs.indices, obs.values))
+    else:
+        checks = (slots[a - 1] < slots[b - 1] for a, b in zip(obs.items, obs.items[1:]))
+    mask = np.ones(slots.shape[1], dtype=bool)
+    for check in checks:
+        mask &= check
+    return mask
 
 
 def bayes_update(
@@ -116,8 +120,10 @@ def bayes_update(
     weights = (obs.s, 1.0 - obs.s)
     if encoding == "born":
         weights = tuple(map(math.sqrt, weights))
-    scaled = values * np.where(_consistent_mask(obs, n), *weights)
-    p_s = float(np.sum(scaled * scaled))
+    likelihood = np.where(_consistent_mask(obs, n), *weights)
+    scaled = values * likelihood
+    # the likelihood is spent, so its buffer takes the squares
+    p_s = float(np.sum(np.multiply(scaled, scaled, out=likelihood)))
     return renormalized(scaled, p_s, "conditioning"), p_s
 
 

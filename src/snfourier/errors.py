@@ -49,15 +49,22 @@ def checked_state(state, encoding: str) -> np.ndarray:
     if encoding not in ENCODINGS:
         raise ValueError(f"encoding must be amplitude|born, got {encoding!r}")
     values = np.asarray(state, dtype=np.float64)
-    check_unit_norm(float(np.sum(values * values)))
+    # einsum sums the squares of every entry without an n!-long temporary
+    flat = values.reshape(-1)
+    check_unit_norm(float(np.einsum("i,i->", flat, flat)))
     return values
 
 
-def renormalized(scaled, p_s: float, step: str):
-    """Post-select a scaled state: scaled / sqrt(p_s), unless nothing survives."""
+def renormalized(scaled: np.ndarray, p_s: float, step: str) -> np.ndarray:
+    """Post-select a scaled state: divide scaled by sqrt(p_s), unless nothing survives.
+
+    The division is in place: scaled itself is divided and returned, so pass
+    an array no caller still reads.
+    """
     if p_s <= ANNIHILATION_TOL:
         raise AnnihilatedStateError(f"{step} left no surviving amplitude")
-    return scaled / np.sqrt(p_s)
+    scaled /= np.sqrt(p_s)
+    return scaled
 
 
 def check_degree(n: int, guard: int | None = None) -> int:

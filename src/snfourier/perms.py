@@ -173,7 +173,10 @@ def register_qubits(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def all_one_lines(n: int) -> np.ndarray:
-    """(n!, n) uint8 array of 1-based one-line forms, row r = permutation of rank r."""
+    """(n!, n) uint8 array of 1-based one-line forms, row r = permutation of rank r.
+
+    Laid out like _backend.all_perms0: each slot's column is contiguous.
+    """
     out = _backend.all_perms0(n) + 1
     out.flags.writeable = False
     return out

@@ -51,9 +51,31 @@ class ModelState:
 
     def posterior(self) -> np.ndarray:
         """Classical distribution the state encodes; float noise clamped at 0."""
-        a = np.maximum(self.amplitudes, 0.0)
-        p = a if self.encoding == "amplitude" else a * a
-        return p / p.sum()
+        p = np.maximum(self.amplitudes, 0.0)
+        if self.encoding == "born":
+            p *= p
+        p /= p.sum()
+        return p
+
+
+def _valid_count(count) -> bool:
+    # a float64 holds every integer count up to 2**53 exactly
+    return 1 <= count <= 2**53 and int(count) == count
+
+
+def _entries_at_once(entries) -> Optional[tuple]:
+    """Coerced (one_line, count) entries when every row is a permutation of
+    1..n for one n and every count is valid, checked as one array; else None."""
+    try:
+        lines = np.array([one_line for one_line, _ in entries], dtype=np.int64)
+        counts = [int(count) for _, count in entries if _valid_count(count)]
+    except (TypeError, ValueError, OverflowError):
+        return None
+    if lines.ndim != 2 or len(counts) != len(entries):
+        return None
+    if not np.all(np.sort(lines, axis=1) == np.arange(1, lines.shape[1] + 1)):
+        return None
+    return tuple(zip(map(tuple, lines.tolist()), counts))
 
 
 @dataclass(frozen=True)
@@ -68,22 +90,24 @@ class EmpiricalInitial:
     def __post_init__(self):
         if not self.entries:
             raise PlanValidationError("dataset", "empirical dataset must not be empty")
-        coerced = []
-        for i, (one_line, count) in enumerate(self.entries):
-            # a float64 holds every integer count up to 2**53 exactly
-            if not 1 <= count <= 2**53 or int(count) != count:
+        coerced = _entries_at_once(self.entries)
+        if coerced is None:
+            # some entry fails: check one at a time, so the error names the first
+            coerced = []
+            for i, (one_line, count) in enumerate(self.entries):
+                if not _valid_count(count):
+                    raise PlanValidationError(
+                        f"dataset[{i}].count", "count must be an integer in 1..2**53"
+                    )
+                try:
+                    perm = Permutation(tuple(int(v) for v in one_line))
+                except ValueError as err:
+                    raise PlanValidationError(f"dataset[{i}].one_line", str(err)) from None
+                coerced.append((perm.one_line, int(count)))
+            if len({len(ol) for ol, _ in coerced}) != 1:
                 raise PlanValidationError(
-                    f"dataset[{i}].count", "count must be an integer in 1..2**53"
+                    "dataset", "dataset permutations must share one degree"
                 )
-            try:
-                perm = Permutation(tuple(int(v) for v in one_line))
-            except ValueError as err:
-                raise PlanValidationError(f"dataset[{i}].one_line", str(err)) from None
-            coerced.append((perm.one_line, int(count)))
-        if len({len(ol) for ol, _ in coerced}) != 1:
-            raise PlanValidationError(
-                "dataset", "dataset permutations must share one degree"
-            )
         object.__setattr__(self, "entries", tuple(coerced))
 
     @property
@@ -226,7 +250,8 @@ def _initial_amplitudes(plan: ExperimentPlan) -> np.ndarray:
         amps[0] = 1.0
         return amps
     counts = plan.initial.counts_vector(plan.n)
-    return encode_distribution(counts / counts.sum(), plan.encoding)
+    counts /= counts.sum()
+    return encode_distribution(counts, plan.encoding)
 
 
 def run_plan(plan: ExperimentPlan) -> tuple[ModelState, RunReport]:
@@ -308,7 +333,7 @@ def sample_computational(state: ModelState, count: int, seed: int) -> np.ndarray
     draw i.
     """
     probs = state.amplitudes * state.amplitudes
-    probs = probs / probs.sum()
+    probs /= probs.sum()
     rng = np.random.default_rng(seed)
     ranks = rng.choice(len(probs), size=int(count), p=probs)
     return all_one_lines(state.n)[ranks]

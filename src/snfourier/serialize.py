@@ -304,7 +304,8 @@ def _tagged(doc, path: str, tag: str, shapes: dict) -> str:
 
 
 def _int_array(raw, path: str) -> tuple:
-    if not isinstance(raw, list) or not all(_plain_int(v) for v in raw):
+    # json.loads builds exact types, so an int type, not a bool, is a plain int
+    if not isinstance(raw, list) or not set(map(type, raw)) <= {int}:
         raise PlanValidationError(path, "expected an array of integers")
     return tuple(raw)
 

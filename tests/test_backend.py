@@ -77,6 +77,9 @@ def test_all_perms0_matches_lex_order():
         table = _backend.all_perms0(n)
         assert table.dtype == np.uint8
         assert np.array_equal(table, np.asarray(oracles.all_perms_lex(n)) - 1)
+        assert not table.flags.writeable
+        # stored slot-major: each slot's column is one contiguous run
+        assert all(table[:, slot].flags.c_contiguous for slot in range(n))
 
 
 def test_all_inverses0_are_inverses():

@@ -398,6 +398,74 @@ def test_sample_computational_bytes_are_pinned_at_n8(tmp_path):
     assert digest == "6eb28762784aab00d823e43e552c2149d67ddb11b780221401bdd088e219a34a"
 
 
+# plan 0 of perfbench's infer-n7 pool for seed 1; its spectrum and posterior
+# pass through the FFT's BLAS products, whose kernel OpenBLAS picks per CPU,
+# so the pin holds for one numpy build on one CPU family
+PLAN_N7_INFER = {
+    "n": 7, "encoding": "born", "seed": 2588045644,
+    "initial": {"kind": "empirical", "dataset": [
+        {"one_line": list(line), "count": count} for line, count in (
+            ((5, 1, 7, 3, 6, 4, 2), 2),
+            ((6, 4, 2, 7, 3, 1, 5), 4),
+            ((3, 1, 4, 7, 6, 2, 5), 2),
+            ((3, 1, 2, 5, 6, 7, 4), 1),
+            ((3, 6, 2, 5, 7, 4, 1), 4),
+            ((1, 3, 7, 4, 6, 5, 2), 3),
+            ((3, 6, 2, 4, 5, 1, 7), 2),
+            ((5, 2, 3, 6, 4, 1, 7), 1),
+            ((6, 1, 5, 4, 7, 2, 3), 1),
+            ((3, 1, 4, 2, 6, 7, 5), 1),
+            ((7, 5, 1, 2, 6, 4, 3), 1),
+            ((3, 4, 5, 6, 7, 1, 2), 1),
+            ((7, 2, 6, 5, 1, 3, 4), 5),
+            ((6, 5, 4, 1, 7, 3, 2), 1),
+            ((6, 1, 4, 5, 7, 2, 3), 1),
+            ((3, 6, 5, 2, 7, 4, 1), 5),
+            ((1, 7, 3, 2, 4, 5, 6), 2),
+            ((4, 3, 1, 6, 7, 5, 2), 1),
+            ((1, 6, 7, 5, 3, 2, 4), 4),
+            ((4, 7, 5, 6, 2, 3, 1), 1),
+            ((1, 2, 6, 3, 7, 4, 5), 4))]},
+    "steps": [step for items in [[3, 1, 6, 2], [6, 3, 5], [6, 5, 7, 1, 2]] for step in (
+        {"type": "diffusion", "p": 0.7, "d": 2},
+        {"type": "conditioning",
+         "observation": {"kind": "ranking", "items": items, "s": 0.8}})],
+    "sharpening": 3,
+}
+
+
+def test_run_bytes_are_pinned_at_n7(tmp_path):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(PLAN_N7_INFER))
+    out = tmp_path / "out"
+    assert run_cli("run", "--plan", str(plan), "--out", str(out)) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("posterior.csv", "spectrum.json", "ledger.jsonl", "report.json")}
+    assert digests == {
+        "posterior.csv": "589e1a8f215f6c21c91ffe09b0b05c457e81a0a4a3565682c9e2a0519f285af1",
+        "spectrum.json": "2da60f80299a32db324c120ca914cbf71322a20feb8800fcacd86db15883be85",
+        "ledger.jsonl": "3bda6d9d6992f3a0526029d6ff7e483c548507f6ccf0f4d9fac43fb0f9b3b379",
+        "report.json": "bb771721d0c6541c46d239a9452599c2f084350e82899c0d964dacedeb970e78",
+    }
+
+
+def test_main_carries_no_option_into_the_next_call(tmp_path):
+    (tmp_path / "plan.json").write_text(PLAN_N4_BORN)
+    assert run_cli("run", "--plan", str(tmp_path / "plan.json"), "--out",
+                   str(tmp_path / "first"), "--seed", "5", "--n-guard", "8") == 0
+    assert run_cli("run", "--plan", str(tmp_path / "plan.json"), "--out",
+                   str(tmp_path / "second")) == 0
+    # the second call made alone, in a fresh process
+    done = _run_module(tmp_path, 2 << 30, "run", "--plan", "plan.json", "--out", "alone")
+    assert done.returncode == 0, done.stderr
+    for name in ("posterior.csv", "spectrum.json", "ledger.jsonl", "report.json"):
+        assert (tmp_path / "second" / name).read_bytes() == \
+            (tmp_path / "alone" / name).read_bytes()
+    # report.json carries the seed, so the first call's override shows there
+    assert (tmp_path / "first" / "report.json").read_bytes() != \
+        (tmp_path / "alone" / "report.json").read_bytes()
+
+
 def test_sample_fourier_distribution(tmp_path):
     plan = tmp_path / "plan.json"
     plan.write_text('{"n": 4}')

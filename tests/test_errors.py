@@ -66,3 +66,44 @@ POST_SELECTED = {
 def test_post_selected_steps_raise_when_nothing_survives(step):
     with pytest.raises(AnnihilatedStateError):
         step()
+
+
+def _read_only_state():
+    psi = np.random.default_rng(5).random(math.factorial(4))
+    psi /= np.linalg.norm(psi)
+    psi.flags.writeable = False
+    return psi
+
+
+# renormalized divides the array it is given, so each step must hand it a
+# temporary of its own and never the caller's state
+ALIASING = {
+    "bayes_update": lambda psi: bayes_update(psi, RANKING, "born")[0],
+    "reorder_update_condition": lambda psi: reorder_update_condition(psi, RANKING)[0],
+    "sharpen_map": lambda psi: sharpen_map(
+        ModelState(amplitudes=psi, encoding="born"), 3)[0].amplitudes,
+}
+
+
+@pytest.mark.parametrize("step", ALIASING.values(), ids=ALIASING.keys())
+def test_post_selected_steps_leave_their_input_unchanged(step):
+    psi = _read_only_state()
+    before = psi.tobytes()
+    out = step(psi)
+    assert psi.tobytes() == before
+    assert not np.shares_memory(out, psi)
+    # a writable input is not divided in place either
+    writable = psi.copy()
+    step(writable)
+    assert writable.tobytes() == before
+
+
+def test_diffusion_leaves_its_input_spectrum_unchanged():
+    spectrum = gft_forward(_read_only_state(), "unitary")
+    for block in spectrum.blocks.values():
+        block.flags.writeable = False
+    before = {lam: block.tobytes() for lam, block in spectrum.blocks.items()}
+    out, _ = apply_diffusion_spectral(spectrum, DiffusionStep(p=0.7, d=3))
+    assert {lam: block.tobytes() for lam, block in spectrum.blocks.items()} == before
+    assert not any(np.shares_memory(out.blocks[lam], block)
+                   for lam, block in spectrum.blocks.items())

@@ -10,7 +10,7 @@ from scipy import stats
 import oracles
 from snfourier.conditioning import Observation
 from snfourier.diffusion import kernel_as_function
-from snfourier.errors import AnnihilatedStateError, DegreeGuardError
+from snfourier.errors import AnnihilatedStateError, DegreeGuardError, PlanValidationError
 from snfourier.partitions import Partition, irrep_dimension, enumerate_partitions
 from snfourier.perms import reorder_sequence
 from snfourier.pipeline import DiffusionStep, EmpiricalInitial, \
@@ -254,6 +254,33 @@ def test_plan_validation():
         ExperimentPlan(n=4, steps=(), initial=empirical, encoding="born")
     with pytest.raises(ValueError):
         EmpiricalInitial(entries=(((2, 1, 3), 0),))
+
+
+DATASET_N4 = tuple(((2, 1, 3, 4), 1 + i) for i in range(6))
+
+
+@pytest.mark.parametrize("entry, field, message", [
+    (((1, 1, 3, 4), 2), "dataset[3].one_line", "not a permutation of 1..4: (1, 1, 3, 4)"),
+    (((2, 1, 3, 5), 2), "dataset[3].one_line", "not a permutation of 1..4: (2, 1, 3, 5)"),
+    (((2, 1, 3, 4), 0), "dataset[3].count", "count must be an integer in 1..2**53"),
+    (((2, 1, 3, 4), 2.5), "dataset[3].count", "count must be an integer in 1..2**53"),
+])
+@pytest.mark.parametrize("tail", [(), (((4, 3, 2, 1), 0),)], ids=["alone", "then-bad-count"])
+def test_empirical_initial_names_the_first_bad_entry(entry, field, message, tail):
+    # with a later bad entry too, the first one is still the one named
+    entries = DATASET_N4[:3] + (entry,) + DATASET_N4[4:] + tail
+    with pytest.raises(PlanValidationError) as err:
+        EmpiricalInitial(entries=entries)
+    assert (err.value.field, err.value.reason) == (field, message)
+
+
+def test_empirical_initial_coerces_entries_to_ints():
+    empirical = EmpiricalInitial(entries=(
+        (np.array([3, 1, 2]), 2.0), ([1.0, 2, 3], np.int64(1)), ((True, 3, 2), 4)))
+    assert empirical.entries == (((3, 1, 2), 2), ((1, 2, 3), 1), ((1, 3, 2), 4))
+    assert all(type(v) is int for line, count in empirical.entries for v in (*line, count))
+    with pytest.raises(PlanValidationError, match="share one degree"):
+        EmpiricalInitial(entries=(((1, 2), 1), ((1, 2, 3), 1)))
 
 
 def test_counts_vector_adds_in_entry_order():
