@@ -34,7 +34,6 @@ from .serialize import (
     spectrum_to_json,
 )
 from .transform import NORMALIZATIONS, function_degree, gft_forward
-from .verify import format_table, run_battery
 
 
 def _emit(out: str, files: dict, note: str = "") -> int:
@@ -68,6 +67,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # imported here: only this command needs the battery and its oracles
+    from .verify import format_table, run_battery
+
     results = run_battery(args.n_max, seed=args.seed, guard=args.n_guard)
     print(format_table(results), end="")
     return 0 if all(result.passed for result in results) else 1

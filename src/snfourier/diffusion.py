@@ -20,7 +20,8 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .errors import PlanValidationError, check_unit_norm, renormalized
-from .partitions import diffusion_eigenvalue, enumerate_partitions
+from .partitions import diffusion_eigenvalue, enumerate_partitions, \
+    transposition_character_ratio
 from .perms import Permutation, lehmer_encode, lehmer_rank
 from .transform import FourierSpectrum
 
@@ -80,11 +81,19 @@ def float_power(base, exponent: int):
 
 
 def _step_scales(step: DiffusionStep, n: int) -> dict:
+    """c_lam^d per block, c_lam rounded once from the exact eigenvalue.
+
+    With p = num/den and the character ratio a/b, c_lam is
+    (num b + (den - num) a) / (den b); int true division rounds correctly,
+    as float(Fraction) does.
+    """
     _check_walk_degree(n)
-    return {
-        lam: float(float_power(float(step.eigenvalue(lam)), step.d))
-        for lam in enumerate_partitions(n)
-    }
+    num, den = step.p.as_integer_ratio()
+    scales = {}
+    for lam in enumerate_partitions(n):
+        a, b = transposition_character_ratio(lam).as_integer_ratio()
+        scales[lam] = float(float_power((num * b + (den - num) * a) / (den * b), step.d))
+    return scales
 
 
 def apply_diffusion_spectral(

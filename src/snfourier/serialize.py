@@ -1,8 +1,11 @@
 """JSON and CSV codecs for plans, observations, spectra, and run artifacts.
 
-Every float is printed with 17 significant digits, enough for an IEEE double
-to round-trip exactly, so golden files can be compared byte for byte. The
-writers emit keys in a fixed order for the same reason.
+Every float is printed as '%.17g' prints it: 17 significant digits, enough
+for an IEEE double to round-trip exactly, so golden files can be compared
+byte for byte. The writers emit keys in a fixed order for the same reason.
+Arrays (posteriors, functions, spectra) go through a numpy printer that
+computes those digits with integer arithmetic and hands the few values whose
+rounding it cannot certify, exact ties among them, to '%'.
 
 The plan reader checks types only: what JSON itself can get wrong (syntax,
 objects, arrays, integers, booleans, unknown keys), plus reading a string p
@@ -18,6 +21,7 @@ import io
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,39 +40,255 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _format_floats(template: str, values: np.ndarray) -> str:
-    """template % values, with one %.17g field per value in C order.
+# The float printer: rows of '%.17g' text from integer arithmetic in numpy.
+# For x in the decade [10^k, 10^(k+1)) its 17 digits are x * 10^(16-k) rounded
+# half-even. That is a * P / 2^116 for the integer a = x * 2^(53 - e10) < 2^57
+# and P = 10^(16-k) * 2^(63 + e10), truncated to an integer of 117 or 118
+# bits, where e10 is frexp's exponent of 10^k. Every operand is uint64: numpy
+# turns uint64 mixed with int64 into float64.
+_U = np.uint64
+_LIMB = _U(29)  # bits per limb: a limb product and the sum of two fit in 64 bits
+_LOW29 = _U(2**29 - 1)
+_CHUNK = 4096  # most rows per pass, so no temporary grows with the table
+_FLOAT_WIDTH = 32  # bytes per printed float: at most 24 of text, then NULs
+_K_MIN = -324  # 5e-324, the smallest double, lies in [1e-324, 1e-323)
 
-    Finiteness is checked once per array; a non-finite value raises
-    format_float's error, naming the first one.
+
+@lru_cache(maxsize=None)
+def _digit_words() -> np.ndarray:
+    """The four ASCII digits of g < 10^4 as one '<u4' word, at index g; with
+    leading zeros as NUL at g + 10000, and with trailing zeros as NUL at
+    g + 20000."""
+    digits = np.empty((3, 10, 10, 10, 10, 4), dtype=np.uint8)
+    for j in range(4):
+        digits[..., j] = np.arange(48, 58, dtype=np.uint8).reshape((10,) + (1,) * (3 - j))
+    digits = digits.reshape(3, 10000, 4)
+    leading, trailing = digits[0] == ord("0"), digits[0] == ord("0")
+    for j in range(1, 4):
+        leading[:, j] &= leading[:, j - 1]
+        trailing[:, 3 - j] &= trailing[:, 4 - j]
+    digits[1][leading] = 0
+    digits[2][trailing] = 0
+    words = digits.view("<u4").ravel()
+    words.flags.writeable = False
+    return words
+
+
+@lru_cache(maxsize=None)
+def _float_tables():
+    """The printer's tables, indexed by decade index i = k + 324 unless named.
+
+    lower[i]: the smallest double >= 10^k (inf past the last decade);
+    e10[i]: frexp's exponent of 10^k; power[j][i]: limb j of P, bits
+    29j to 29j + 28 (limb 3 takes the rest, under 31 bits);
+    decade[e + 1073]: the decade index of 2^(e-1), for each frexp exponent e;
+    head[i]: bytes 0-7 of a row below 1 in fixed notation ("0.00" at bytes
+    1-4 for k = -3), else 0; tail[i]: bytes 24-31 in exponent notation
+    ("e-05"), else 0; moves[k]: the byte order that puts a row's point after
+    digit k, for k = 0..16.
     """
+    pow10 = [1]
+    for _ in range(340):
+        pow10.append(pow10[-1] * 10)
+    lower, e10, power = [], [], []
+    for k in range(_K_MIN, 309):
+        p10 = pow10[abs(k)]
+        if k >= 0:
+            nearest = float(p10)
+            below = int(nearest) < p10
+        else:
+            nearest = 1 / p10  # int true division rounds correctly
+            num, den = nearest.as_integer_ratio()
+            below = num * p10 < den
+        lower.append(math.nextafter(nearest, math.inf) if below else nearest)
+        e = p10.bit_length() if k >= 0 else 1 - (p10 - 1).bit_length()
+        e10.append(e)
+        if k > 16:
+            p = (1 << (63 + e)) // pow10[k - 16]
+        elif e >= -63:
+            p = pow10[16 - k] << (63 + e)
+        else:
+            p = pow10[16 - k] >> -(63 + e)
+        power.append([p & (2**29 - 1), p >> 29 & (2**29 - 1), p >> 58 & (2**29 - 1), p >> 87])
+    lower = np.array(lower + [math.inf])
+    power = np.array(power, dtype=_U).T.copy()
+    decade = np.searchsorted(lower, np.ldexp(1.0, np.arange(-1074, 1024)), side="right") - 1
+
+    def words(texts):
+        return np.frombuffer(b"".join(t.ljust(8, b"\0") for t in texts), dtype="<u8")
+
+    decades = range(_K_MIN, 310)
+    head = words([b"\0" + b"0." + b"0" * (-k - 1) if -4 <= k < 0 else b"" for k in decades])
+    tail = words([f"e{k:+03d}".encode() if not -4 <= k < 17 else b"" for k in decades])
+    moves = np.array([[*range(7), *range(8, 8 + k), 7, *range(8 + k, 32)] for k in range(17)])
+    tables = lower, np.array(e10), power, decade, head, tail, moves
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _decimal(x):
+    """(i, d, unsure) for positive finite x: the decade index, the 17-digit
+    integer x * 10^(16-k) rounded half-even (10^17 rounds to 10^16 in the
+    next decade), and where that rounding is open."""
+    lower, e10, power, decade = _float_tables()[:4]
+    mant, e = np.frexp(x)
+    i = decade[e + 1073]
+    i += x >= lower[i + 1]
+    a = np.ldexp(mant, e - e10[i] + 53).astype(_U)  # exact: 53 bits, under 2^57
+    del mant, e
+    # a * P by 29-bit columns, leaving out a0 * p0 (bits 0-57): column c
+    # sums the products of limbs i + j = c and the carry from column c - 1
+    a0 = a & _LOW29
+    a1 = a
+    a1 >>= _LIMB
+    p1 = power[1][i]
+    c1 = a0 * p1
+    c1 += a1 * power[0][i]
+    p2 = power[2][i]
+    c2 = a0 * p2
+    c2 += a1 * p1
+    c2 += c1 >> _LIMB
+    del p1
+    p3 = power[3][i]
+    c3 = a0 * p3
+    c3 += a1 * p2
+    c3 += c2 >> _LIMB
+    # bits 116 and up hold the integer part d, the 64 bits below it the
+    # fraction f; the truncations leave x * 10^(16-k) in
+    # [d + f/2^64, d + (f + 129)/2^64), so the rounding is open only for f
+    # within 128 below 2^63, where exact ties land, or at 2^63
+    d = a1 * p3
+    d += c3 >> _LIMB
+    del a0, a1, p2, p3
+    f = c3
+    f &= _LOW29
+    f <<= _U(35)
+    f |= (c2 & _LOW29) << _U(6)
+    f |= (c1 & _LOW29) >> _U(23)
+    del c1, c2
+    d += f > _U(2**63)
+    carry = d == _U(10**17)  # rounded up into the next decade
+    d[carry] = _U(10**16)
+    i += carry
+    return i, d, f - _U(2**63 - 128) <= _U(128)
+
+
+def _print_chunk(values, out):
+    """Write '%.17g' % v, NUL-padded, into the row of out, a (len, 4) '<u8' array.
+
+    Bytes 0-7 hold the sign, the "0.000" of fixed notation below 1, the
+    leading digit and the point; bytes 8-23 the other 16 digits as four
+    groups, trailing zeros as NUL; bytes 24-31 the exponent.
+    """
+    head, tail, moves = _float_tables()[4:]
+    digits = _digit_words()
+    x = np.abs(values)
+    zero = x == 0
+    x[zero] = 0.5  # any nonzero value; zero rows are rewritten below
+    i, d, unsure = _decimal(x)
+    del x
+    lead = d // _U(10**16)
+    d -= lead * _U(10**16)
+    fixed = head[i]
+    out[:, 0] = (fixed | np.signbit(values) * _U(ord("-")) | (lead + _U(ord("0"))) << _U(48)
+                 | ((d != 0) & (fixed == 0)) * _U(ord(".") << 56))
+    out[:, 3] = tail[i]
+    del lead, fixed
+    # a group loses its trailing zeros when the groups after it are zero
+    quads = out.view("<u4")
+    strip = np.full(len(d), _U(20000))
+    for column in (5, 4, 3, 2):
+        rest = d // _U(10**4)
+        group = d - rest * _U(10**4)
+        quads[:, column] = digits[group + strip]
+        strip *= group == 0
+        d = rest
+    out[zero] = 0
+    out[zero, 0] = np.signbit(values[zero]) * _U(ord("-")) | _U(ord("0") << 48)
+    rows = out.view(np.uint8)
+    # from 1 to 10^17 the point follows digit k, and only the fraction loses
+    # its trailing zeros
+    big = np.flatnonzero((i >= -_K_MIN) & (i <= 16 - _K_MIN))
+    if big.size:
+        k = i[big] + _K_MIN
+        sub = rows[big]
+        sub[:, 8:24][(sub[:, 8:24] == 0) & (np.arange(1, 17) <= k[:, None])] = ord("0")
+        sub[:, 7] = (sub[np.arange(len(big)), 8 + k] != 0) * ord(".")
+        rows[big] = np.take_along_axis(sub, moves[k], axis=1)
+    for r in np.flatnonzero(unsure & ~zero).tolist():
+        text = b"%.17g" % values[r]
+        rows[r] = 0
+        rows[r, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+
+
+def _chunks(count: int):
+    """(lo, hi) ranges that split count rows into equal passes of at most _CHUNK."""
+    passes = -(-count // _CHUNK)
+    return [(count * j // passes, count * (j + 1) // passes) for j in range(passes)]
+
+
+def _float_rows(values) -> np.ndarray:
+    """(len, 32) uint8 rows, row r the bytes of '%.17g' % values[r], then NULs.
+
+    A value that is not finite raises format_float's error, naming the first.
+    """
+    values = np.asarray(values, dtype=np.float64)
     finite = np.isfinite(values)
     if not finite.all():
         format_float(values[~finite][0])
-    return template % tuple(values.ravel().tolist())
+    out = np.empty((len(values), _FLOAT_WIDTH // 8), dtype="<u8")
+    for lo, hi in _chunks(len(values)):
+        _print_chunk(values[lo:hi], out[lo:hi])
+    return out.view(np.uint8)
 
 
-def _ranked_rows(cells: np.ndarray, tail: bytes) -> str:
-    r"""Lines "{rank},{cells[rank]}{tail}" from a table of ASCII bytes, no "%".
+def _ranked_rows(header: str, one_lines=None, values=None) -> str:
+    r"""header, then the line "{r},{one_lines[r]},{values[r]}\n" for each rank r.
 
-    With tail b"%.17g\n" the text is a template for one float per row; with
-    b"\n" it is final. A rank has a fixed width inside each decade (0-9,
-    10-99, ...), so each decade is built as one byte array.
+    Either field may be absent. One-line entries are single digits (n <= 9),
+    printed space-separated. Rows are built at most _CHUNK at a time as
+    fixed-width byte rows: the rank's leading zeros and the float's padding
+    are NUL, and one translate per chunk drops them.
     """
-    tail = np.frombuffer(tail, dtype=np.uint8)
-    decades = []
-    lo, width = 0, 1
-    while lo < len(cells):
-        hi = min(10**width, len(cells))
-        rows = np.empty((hi - lo, width + 1 + cells.shape[1] + len(tail)), dtype=np.uint8)
-        ranks = np.arange(lo, hi)[:, None]
-        rows[:, :width] = ranks // 10 ** np.arange(width - 1, -1, -1) % 10 + ord("0")
-        rows[:, width] = ord(",")
-        rows[:, width + 1:-len(tail)] = cells[lo:hi]
-        rows[:, -len(tail):] = tail
-        decades.append(rows.tobytes())
-        lo, width = hi, width + 1
-    return b"".join(decades).decode("ascii")
+    count = len(values if one_lines is None else one_lines)
+    n = 0 if one_lines is None else one_lines.shape[1]
+    groups = -(-len(str(max(count - 1, 0))) // 4)  # 4-digit groups of a rank
+    fields = [b"\0" * 4 * groups]
+    if n:
+        fields.append(b" ".join([b"\0"] * n))
+    if values is not None:
+        fields.append(b"\0" * _FLOAT_WIDTH)
+    template = np.frombuffer(b",".join(fields) + b"\n", dtype=np.uint8)
+    cells, floats = 4 * groups + 1, len(template) - 1 - _FLOAT_WIDTH
+    digits = _digit_words()
+    parts = [header]
+    for lo, hi in _chunks(count):
+        # printed first, so the printer's temporaries are gone before the rows exist
+        printed = None if values is None else _float_rows(values[lo:hi])
+        text = bytearray((hi - lo) * len(template))
+        rows = np.frombuffer(text, dtype=np.uint8).reshape(hi - lo, len(template))
+        rows[:] = template
+        # a rank's groups lose their leading zeros up to its first nonzero group
+        ranks = np.arange(lo, hi, dtype=_U)
+        leading = np.full(hi - lo, _U(10000))
+        words = np.empty((hi - lo, groups), dtype="<u4")
+        for j in range(groups - 1, -1, -1):
+            scale = _U(10**(4 * j))
+            group = ranks // scale
+            ranks -= group * scale
+            words[:, groups - 1 - j] = digits[group + leading]
+            leading *= group == 0
+        rows[:, :4 * groups] = words.view(np.uint8)
+        if lo == 0:
+            rows[0, 4 * groups - 1] = ord("0")
+        if n:
+            rows[:, cells:cells + 2 * n:2] = one_lines[lo:hi] + ord("0")
+        if printed is not None:
+            rows[:, floats:-1] = printed
+            del printed
+        parts.append(text.translate(None, b"\0").decode("ascii"))
+    return "".join(parts)
 
 
 def _write_json(obj) -> str:
@@ -92,12 +312,6 @@ def _write_json(obj) -> str:
             for key, value in obj.items()
         )
         return "{" + body + "}"
-    if isinstance(obj, np.ndarray) and obj.ndim in (1, 2) and obj.dtype.kind == "f":
-        # a vector, or a whole spectrum block, is written by one % call
-        row = "[" + ", ".join(["%.17g"] * obj.shape[-1]) + "]"
-        if obj.ndim == 2:
-            row = "[" + ", ".join([row] * len(obj)) + "]"
-        return _format_floats(row, obj)
     if isinstance(obj, (list, tuple, np.ndarray)):
         return "[" + ", ".join(_write_json(value) for value in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -108,12 +322,30 @@ def partition_key(lam: Partition) -> str:
 
 
 def spectrum_to_json(spectrum: FourierSpectrum) -> str:
-    blocks = {
-        partition_key(lam): spectrum.blocks[lam]
-        for lam in enumerate_partitions(spectrum.n)
-    }
-    doc = {"normalization": spectrum.normalization, "blocks": blocks}
-    return _write_json(doc) + "\n"
+    """{"normalization": ..., "blocks": {"[3,1]": [[a, b, c], ...], ...}}.
+
+    One printer call covers the entries of every block; each entry's row is
+    followed by its separator, ", ", "], [" or "]]", NUL-padded to 4 bytes.
+    """
+    lams = enumerate_partitions(spectrum.n)
+    blocks = [np.asarray(spectrum.blocks[lam], dtype=np.float64) for lam in lams]
+    floats = _float_rows(np.concatenate([block.ravel() for block in blocks]))
+    parts = ['{"normalization": %s, "blocks": {' % json.dumps(spectrum.normalization)]
+    start = 0
+    for lam, block in zip(lams, blocks):
+        text = bytearray(block.size * (_FLOAT_WIDTH + 4))
+        entries = np.frombuffer(text, dtype=np.uint8).reshape(*block.shape, _FLOAT_WIDTH + 4)
+        entries[..., :_FLOAT_WIDTH] = floats[start:start + block.size].reshape(
+            *block.shape, _FLOAT_WIDTH)
+        entries[:, :-1, _FLOAT_WIDTH:] = np.frombuffer(b", \0\0", dtype=np.uint8)
+        entries[:, -1, _FLOAT_WIDTH:] = np.frombuffer(b"], [", dtype=np.uint8)
+        entries[-1, -1, _FLOAT_WIDTH:] = np.frombuffer(b"]]\0\0", dtype=np.uint8)
+        parts.append('%s"%s": [[%s' % (", " if start else "", partition_key(lam),
+                                       text.translate(None, b"\0").decode("ascii")))
+        start += block.size
+    del floats, entries, text  # before the parts are joined
+    parts.append("}}\n")
+    return "".join(parts)
 
 
 def spectrum_from_json(text: str) -> FourierSpectrum:
@@ -139,8 +371,7 @@ def spectrum_from_json(text: str) -> FourierSpectrum:
 def function_to_csv(values) -> str:
     arr = np.asarray(values, dtype=np.float64)
     function_degree(arr)
-    no_cells = np.empty((len(arr), 0), dtype=np.uint8)
-    return "rank,value\n" + _format_floats(_ranked_rows(no_cells, b"%.17g\n"), arr)
+    return _ranked_rows("rank,value\n", values=arr)
 
 
 def function_from_csv(text: str) -> np.ndarray:
@@ -171,22 +402,14 @@ def function_from_csv(text: str) -> np.ndarray:
 def posterior_to_csv(posterior) -> str:
     arr = np.asarray(posterior, dtype=np.float64)
     n = check_degree(function_degree(arr))
-    # n <= 9, so each entry of a one-line form is a single digit
-    cells = np.full((len(arr), 2 * n), ord(" "), dtype=np.uint8)
-    cells[:, ::2] = all_one_lines(n) + ord("0")
-    cells[:, -1] = ord(",")
-    return "rank,one_line,probability\n" + _format_floats(
-        _ranked_rows(cells, b"%.17g\n"), arr)
+    return _ranked_rows("rank,one_line,probability\n", all_one_lines(n), arr)
 
 
 def samples_to_csv(draws) -> str:
     """One "draw,one_line" row per row of a (count, n) array of one-line forms."""
     rows = np.asarray(draws)
-    n = check_degree(rows.shape[1])
-    # n <= 9, so each entry is a single digit
-    cells = np.full((len(rows), 2 * n - 1), ord(" "), dtype=np.uint8)
-    cells[:, ::2] = rows + ord("0")
-    return "draw,one_line\n" + _ranked_rows(cells, b"\n")
+    check_degree(rows.shape[1])
+    return _ranked_rows("draw,one_line\n", rows)
 
 
 def partition_samples_to_csv(draws) -> str:

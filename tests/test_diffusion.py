@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from snfourier.diffusion import DiffusionStep, apply_diffusion_born, \
+from snfourier.diffusion import DiffusionStep, _step_scales, apply_diffusion_born, \
     apply_diffusion_spectral, float_power, kernel_as_function, \
     success_probability_lower_bound, success_probability_t0
 from snfourier.errors import AnnihilatedStateError, PlanValidationError
@@ -21,6 +21,19 @@ RNG = np.random.default_rng(23)
 
 def random_unit_state(n):
     return oracles.random_unit(RNG, math.factorial(n))
+
+
+@pytest.mark.parametrize("p", [0, 1, 0.7, Fraction(1, 3),
+                               float(np.random.default_rng(71).random())])
+def test_step_scales_round_the_exact_eigenvalue_once(p):
+    # the integer-ratio eigenvalue keeps every bit of float(Fraction), signed zero too
+    for n in range(2, 10):
+        for d in (1, 2, 3, 37):
+            scales = _step_scales(DiffusionStep(p=p, d=d), n)
+            assert tuple(scales) == enumerate_partitions(n)
+            for lam, scale in scales.items():
+                exact = float_power(float(diffusion_eigenvalue(lam, p)), d)
+                assert scale.hex() == float(exact).hex()
 
 
 def test_kernel_frozen_n3():

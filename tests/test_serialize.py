@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -21,7 +22,11 @@ from snfourier.pipeline import (
     ExperimentPlan,
     run_plan,
 )
+from snfourier.partitions import enumerate_partitions
 from snfourier.serialize import (
+    _CHUNK,
+    _chunks,
+    _float_rows,
     format_float,
     function_from_csv,
     function_to_csv,
@@ -183,26 +188,100 @@ def test_posterior_csv_guards_the_degree():
         posterior_to_csv(np.zeros(math.factorial(10)))
 
 
-PLANTED = (0.0, -0.0, 5e-324, 1e-300, 1 / 3, -2.5e17)
+def assert_printed_like_percent(values):
+    """The float printer's row of each value is '%.17g' % value, NULs dropped."""
+    values = np.asarray(values, dtype=np.float64)
+    rows = _float_rows(values)
+    assert rows.dtype == np.uint8 and rows.shape == (len(values), 32)
+    got = [bytes(row).replace(b"\0", b"").decode("ascii") for row in rows]
+    wrong = [(value, text, "%.17g" % value)
+             for value, text in zip(values.tolist(), got) if text != "%.17g" % value]
+    assert not wrong, wrong[:5]
 
 
-@pytest.mark.parametrize("n", range(2, 9))
+def test_float_printer_matches_percent_on_random_bit_patterns():
+    rng = np.random.default_rng(20261018)
+    # every biased exponent of a finite double (subnormals and zero at 0),
+    # each with 50 random mantissas of either sign
+    exponents = np.repeat(np.arange(2047, dtype=np.uint64), 100)
+    signs = np.tile(np.repeat(np.array([0, 1], dtype=np.uint64), 50), 2047)
+    mantissas = rng.integers(0, 2**52, len(exponents), dtype=np.uint64)
+    bits = signs << np.uint64(63) | exponents << np.uint64(52) | mantissas
+    assert len(bits) >= 200_000
+    assert_printed_like_percent(bits.view(np.float64))
+    # and values as a model prints them: small probabilities, normal draws
+    assert_printed_like_percent(np.exp(rng.uniform(-60, 0, 20_000)))
+    assert_printed_like_percent(rng.standard_normal(20_000) * 10.0 ** rng.integers(-6, 18, 20_000))
+
+
+def exact_ties():
+    """Doubles whose exact decimal has 18 significant digits, the last a 5.
+
+    '%.17g' rounds them half-even. Such a double is m / 2^q for an odd m
+    with m * 5^q in [10^17, 10^18), which needs 2 <= q <= 25.
+    """
+    ties = []
+    for q in range(2, 26):
+        first = -(-10**17 // 5**q) | 1
+        last = (min(2**53, 10**18 // 5**q) - 1) | 1
+        for m in (first, first + 2, (first + last) // 4 * 2 + 1, last - 2, last):
+            if 10**17 <= m * 5**q < 10**18 and m < 2**53:
+                digits = str(m * 5**q)
+                assert len(digits) == 18 and digits[-1] == "5"
+                ties.append(m / 2**q)
+    return ties
+
+
+def test_float_printer_matches_percent_on_edge_values():
+    powers = [float(f"1e{k}") for k in range(-323, 309)]
+    below = [float(np.nextafter(p, 0.0)) for p in powers]
+    values = [0.0, 5e-324, float(np.nextafter(sys.float_info.min, 0.0)),
+              sys.float_info.min, sys.float_info.max]
+    values += powers + below + [float(np.nextafter(p, math.inf)) for p in powers]
+    values += [math.ldexp(1.0, e) for e in range(-1074, 1024)]
+    values += [1e16, 1e17, 9.9999999999999998e16, 1e-5, 1e-4]
+    # the nearest double below 10^k whose 17-digit rounding carries into 10^k
+    carried = [p for k, p in zip(range(-323, 309), powers)
+               if Fraction(p) < Fraction(10) ** k == Fraction("%.17g" % p)]
+    assert len(carried) > 10
+    ties = exact_ties()
+    assert len(ties) > 50
+    # half-even goes both ways among the ties
+    assert {Fraction("%.17g" % t) > Fraction(t) for t in ties} == {False, True}
+    values += ties
+    assert_printed_like_percent(values + [-value for value in values])
+
+
+PLANTED = (0.0, -0.0, 5e-324, 1e-300, 1 / 3, -2.5e17, 1.0, 123.5, 2.0**-25,
+           9.9999999999999998e16, 1e-5, -0.00123)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
 def test_writers_match_row_by_row_oracles(n):
     rng = np.random.default_rng(n)
     fact = math.factorial(n)
     posterior = rng.random(fact)
-    # the first ranks, and both sides of each rank-width boundary below n!
-    ranks = [*range(min(fact, 6)), *(r for r in (9, 10, 99, 100, 999, 1000, 9999, 10000)
-                                     if r < fact)]
+    # the first ranks, both sides of each rank-width boundary below n!, and
+    # both sides of each chunk boundary of the row builder and the printer
+    ranks = [*range(min(fact, 6)),
+             *(r for r in (9, 10, 99, 100, 999, 1000, 9999, 10000, 99999, 100000) if r < fact),
+             *(r for lo, _ in _chunks(fact)[1:] for r in (lo - 1, lo))]
     posterior[ranks] = np.resize(PLANTED, len(ranks))
     assert posterior_to_csv(posterior) == oracles.posterior_csv_rows(posterior)
     assert function_to_csv(posterior) == "rank,value\n" + "".join(
         f"{rank},{format_float(value)}\n" for rank, value in enumerate(posterior))
 
     spectrum = gft_forward(oracles.random_unit(rng, fact), "unitary")
-    for i, block in enumerate(spectrum.blocks.values()):
+    blocks = [spectrum.blocks[lam] for lam in enumerate_partitions(n)]
+    for i, block in enumerate(blocks):
         k = min(block.size, len(PLANTED))
         block.flat[:k] = np.roll(PLANTED, i)[:k]
+    # the spectrum is printed in one call over its blocks' entries in order
+    flat = np.concatenate([block.ravel() for block in blocks])
+    edges = [r for lo, _ in _chunks(fact)[1:] for r in (lo - 1, lo)]
+    flat[edges] = np.resize(PLANTED[::-1], len(edges))
+    for block, entries in zip(blocks, np.split(flat, np.cumsum([b.size for b in blocks]))):
+        block[...] = entries.reshape(block.shape)
     assert spectrum_to_json(spectrum) == oracles.spectrum_json_rows(spectrum)
 
 
@@ -215,8 +294,9 @@ def test_samples_csv():
 @pytest.mark.parametrize("n", range(1, 10))
 def test_samples_csv_matches_row_by_row_oracle(n):
     rng = np.random.default_rng(n)
-    # 1, 10, 11, 100 and 1001 draws end on each side of the draw-index decades
-    for count in (1, 10, 11, 100, 1001):
+    # the counts end on each side of the draw-index decades, of a second
+    # chunk and of a second 4-digit group
+    for count in (1, 10, 11, 100, 1001, _CHUNK, _CHUNK + 1, 10001):
         draws = (np.argsort(rng.random((count, n)), axis=1) + 1).astype(np.uint8)
         assert samples_to_csv(draws) == oracles.samples_csv_rows(draws)
 
