@@ -54,6 +54,12 @@ _FLOAT_WIDTH = 32  # bytes per printed float: at most 24 of text, then NULs
 _K_MIN = -324  # 5e-324, the smallest double, lies in [1e-324, 1e-323)
 
 
+def _read_only(*tables):
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 @lru_cache(maxsize=None)
 def _digit_words() -> np.ndarray:
     """The four ASCII digits of g < 10^4 as one '<u4' word, at index g; with
@@ -69,23 +75,17 @@ def _digit_words() -> np.ndarray:
         trailing[:, 3 - j] &= trailing[:, 4 - j]
     digits[1][leading] = 0
     digits[2][trailing] = 0
-    words = digits.view("<u4").ravel()
-    words.flags.writeable = False
-    return words
+    return _read_only(digits.view("<u4").ravel())[0]
 
 
 @lru_cache(maxsize=None)
-def _float_tables():
-    """The printer's tables, indexed by decade index i = k + 324 unless named.
+def _decade_tables():
+    """lower, e10, power, decade; indexed by decade index i = k + 324 unless named.
 
     lower[i]: the smallest double >= 10^k (inf past the last decade);
     e10[i]: frexp's exponent of 10^k; power[j][i]: limb j of P, bits
     29j to 29j + 28 (limb 3 takes the rest, under 31 bits);
-    decade[e + 1073]: the decade index of 2^(e-1), for each frexp exponent e;
-    head[i]: bytes 0-7 of a row below 1 in fixed notation ("0.00" at bytes
-    1-4 for k = -3), else 0; tail[i]: bytes 24-31 in exponent notation
-    ("e-05"), else 0; moves[k]: the byte order that puts a row's point after
-    digit k, for k = 0..16.
+    decade[e + 1073]: the decade index of 2^(e-1), for each frexp exponent e.
     """
     pow10 = [1]
     for _ in range(340):
@@ -113,7 +113,18 @@ def _float_tables():
     lower = np.array(lower + [math.inf])
     power = np.array(power, dtype=_U).T.copy()
     decade = np.searchsorted(lower, np.ldexp(1.0, np.arange(-1074, 1024)), side="right") - 1
+    return _read_only(lower, np.array(e10), power, decade)
 
+
+@lru_cache(maxsize=None)
+def _row_words():
+    """head, tail, moves: the fixed bytes of a printed row, by decade index.
+
+    head[i]: bytes 0-7 of a row below 1 in fixed notation ("0.00" at bytes
+    1-4 for k = -3), else 0; tail[i]: bytes 24-31 in exponent notation
+    ("e-05"), else 0; moves[k]: the byte order that puts a row's point after
+    digit k, for k = 0..16.
+    """
     def words(texts):
         return np.frombuffer(b"".join(t.ljust(8, b"\0") for t in texts), dtype="<u8")
 
@@ -121,17 +132,14 @@ def _float_tables():
     head = words([b"\0" + b"0." + b"0" * (-k - 1) if -4 <= k < 0 else b"" for k in decades])
     tail = words([f"e{k:+03d}".encode() if not -4 <= k < 17 else b"" for k in decades])
     moves = np.array([[*range(7), *range(8, 8 + k), 7, *range(8 + k, 32)] for k in range(17)])
-    tables = lower, np.array(e10), power, decade, head, tail, moves
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    return _read_only(head, tail, moves)
 
 
 def _decimal(x):
     """(i, d, unsure) for positive finite x: the decade index, the 17-digit
     integer x * 10^(16-k) rounded half-even (10^17 rounds to 10^16 in the
     next decade), and where that rounding is open."""
-    lower, e10, power, decade = _float_tables()[:4]
+    lower, e10, power, decade = _decade_tables()
     mant, e = np.frexp(x)
     i = decade[e + 1073]
     i += x >= lower[i + 1]
@@ -181,7 +189,7 @@ def _print_chunk(values, out):
     leading digit and the point; bytes 8-23 the other 16 digits as four
     groups, trailing zeros as NUL; bytes 24-31 the exponent.
     """
-    head, tail, moves = _float_tables()[4:]
+    head, tail, moves = _row_words()
     digits = _digit_words()
     x = np.abs(values)
     zero = x == 0
