@@ -7,9 +7,14 @@ elsewhere, with s in (0.5, 1]; s = 1 is the hard projector.
 
 The update is the pointwise product of the likelihood with the state in the
 permutation basis, then post-selection, over one mask of consistent basis
-labels. A circuit would evaluate the same predicate by right-translating the
-basis, sigma -> sigma*pi, so the touched items occupy the leading (or
-trailing) one-line slots, and reading a fixed window of Lehmer digits there;
+labels. One body computes it for any values that line up with rows of the
+one-line table: a dense state reads the whole cached table, while run_plan
+passes a state kept on its prior's support together with that support's
+rows, so no step reads the other n! entries.
+
+A circuit would evaluate the same predicate by right-translating the basis,
+sigma -> sigma*pi, so the touched items occupy the leading (or trailing)
+one-line slots, and reading a fixed window of Lehmer digits there;
 reorder_update_condition reports the swaps that relabeling costs. The
 window readout itself lives in verify, as the oracle the mask is checked
 against.
@@ -95,17 +100,45 @@ def consistency_predicate(obs: Observation, sigma: Permutation) -> bool:
     return all(a < b for a, b in zip(positions, positions[1:]))
 
 
-def _consistent_mask(obs: Observation, n: int) -> np.ndarray:
-    # row i - 1 is slot i's contiguous column of one-line values
-    slots = all_one_lines(n).T
+def _consistent_mask(obs: Observation, lines: np.ndarray) -> np.ndarray:
+    """Consistency of each row of lines, rows of the (n!, n) one-line table."""
+    slots = lines.T
     if obs.kind == "assignment":
         checks = (slots[i - 1] == v for i, v in zip(obs.indices, obs.values))
     else:
         checks = (slots[a - 1] < slots[b - 1] for a, b in zip(obs.items, obs.items[1:]))
-    mask = np.ones(slots.shape[1], dtype=bool)
+    mask = next(checks)
     for check in checks:
         mask &= check
     return mask
+
+
+def _scaled(values, mask, weights, out) -> np.ndarray:
+    """values times the likelihood, weights[0] where mask holds, into out."""
+    np.multiply(values, weights[1], out=out)
+    return np.multiply(values, weights[0], out=out, where=mask)
+
+
+def _conditioned(
+    values: np.ndarray, lines: np.ndarray, obs: Observation, encoding: str
+) -> tuple[np.ndarray, float]:
+    """The update of values, which line up with the one-line table rows lines.
+
+    The state-length array it returns is the only one it allocates: it takes
+    the squares for p_s, then the scaled values again, and is divided in place.
+    """
+    if len(lines) != len(values):
+        raise ValueError(f"{len(values)} values do not line up with {len(lines)} rows")
+    obs.check_degree(lines.shape[1])
+    if obs.is_empty:
+        return values.copy(), 1.0
+    weights = (obs.s, 1.0 - obs.s)
+    if encoding == "born":
+        weights = tuple(map(math.sqrt, weights))
+    mask = _consistent_mask(obs, lines)
+    out = _scaled(values, mask, weights, np.empty_like(values))
+    p_s = float(np.sum(np.multiply(out, out, out=out)))
+    return renormalized(_scaled(values, mask, weights, out), p_s, "conditioning"), p_s
 
 
 def bayes_update(
@@ -113,18 +146,7 @@ def bayes_update(
 ) -> tuple[np.ndarray, float]:
     """Pointwise likelihood product and renormalization; returns (state, p_s)."""
     values = checked_state(state, encoding)
-    n = function_degree(values)
-    obs.check_degree(n)
-    if obs.is_empty:
-        return values.copy(), 1.0
-    weights = (obs.s, 1.0 - obs.s)
-    if encoding == "born":
-        weights = tuple(map(math.sqrt, weights))
-    likelihood = np.where(_consistent_mask(obs, n), *weights)
-    scaled = values * likelihood
-    # the likelihood is spent, so its buffer takes the squares
-    p_s = float(np.sum(np.multiply(scaled, scaled, out=likelihood)))
-    return renormalized(scaled, p_s, "conditioning"), p_s
+    return _conditioned(values, all_one_lines(function_degree(values)), obs, encoding)
 
 
 def success_probability_conditioning(h, obs: Observation) -> float:
@@ -136,7 +158,7 @@ def success_probability_conditioning(h, obs: Observation) -> float:
         raise ValueError("h must be a normalized probability function")
     if obs.is_empty:
         return 1.0
-    mask = _consistent_mask(obs, n)
+    mask = _consistent_mask(obs, all_one_lines(n))
     pr = float(values[mask].sum())
     h_phi = obs.s * pr + (1.0 - obs.s) * (1.0 - pr)
     if h_phi == 0.0:
@@ -157,16 +179,20 @@ class CostReport(NamedTuple):
 
 
 def reorder_update_condition(
-    state, obs: Observation, encoding: str = "amplitude"
+    state, obs: Observation, encoding: str = "amplitude", lines=None
 ) -> tuple[np.ndarray, float, CostReport]:
     """bayes_update, plus the swap count of the circuit's window readout.
 
-    Assignments read a front window and rankings a back window; the count
-    is plan arithmetic from reorder_sequence, and the basis is never
-    relabeled.
+    lines are the one-line table rows the state's values line up with; by
+    default the whole table, for a dense state. Assignments read a front
+    window and rankings a back window; the count is plan arithmetic from
+    reorder_sequence, and the basis is never relabeled.
     """
-    posterior, p_s = bayes_update(state, obs, encoding)
+    values = checked_state(state, encoding)
+    if lines is None:
+        lines = all_one_lines(function_degree(values))
+    posterior, p_s = _conditioned(values, lines, obs, encoding)
     window = "front" if obs.kind == "assignment" else "back"
     touched = () if obs.is_empty else obs.touched()
-    _, seq = reorder_sequence(function_degree(posterior), touched, f"to_{window}")
+    _, seq = reorder_sequence(lines.shape[1], touched, f"to_{window}")
     return posterior, p_s, CostReport(window, len(seq))

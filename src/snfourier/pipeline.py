@@ -9,9 +9,18 @@ alone records each step's success probability in the ledger, so the product
 of ledger entries equals the squared norm the unrenormalized pipeline would
 reach.
 
+Conditioning and sharpening are pointwise products in the permutation basis,
+so they never move amplitude onto a new rank; only diffusion, a group
+convolution, spreads the state. run_plan therefore keeps the state as its
+amplitudes on the initial state's support (the prior's permutations, or the
+identity) until the first diffusion step, which scatters it into the dense
+n!-vector its transform needs. A state that no diffusion has spread carries
+that support, and sharpening, the posterior and sampling read only it.
+
 Sampling uses NumPy's default_rng (PCG64) with a 64-bit seed; the generator
 identity is part of the output contract, so seeded runs are reproducible
-bit for bit.
+bit for bit. Computational draws are those of Generator.choice, taken by its
+own steps over the nonzero ranks alone.
 """
 
 from __future__ import annotations
@@ -36,26 +45,57 @@ from .transform import function_degree, gft_forward, gft_inverse
 
 @dataclass
 class ModelState:
-    """Unit state vector over Lehmer ranks and the encoding it stores."""
+    """Unit state vector over Lehmer ranks and the encoding it stores.
+
+    support, when given, holds sorted ranks off which every amplitude is 0;
+    run_plan gives the initial state's support to a state no diffusion step
+    has spread, so sharpening and sampling read only those ranks.
+    """
 
     amplitudes: np.ndarray
     encoding: str
+    support: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.amplitudes = checked_state(self.amplitudes, self.encoding)
+        if self.support is None:
+            self.amplitudes = checked_state(self.amplitudes, self.encoding)
+        else:
+            self.amplitudes = np.asarray(self.amplitudes, dtype=np.float64)
+            checked_state(self.amplitudes[self.support], self.encoding)
         function_degree(self.amplitudes)
 
     @property
     def n(self) -> int:
         return function_degree(self.amplitudes)
 
+    def values(self) -> np.ndarray:
+        """The amplitudes on the support, or all of them when there is none."""
+        if self.support is None:
+            return self.amplitudes
+        return self.amplitudes[self.support]
+
+    def with_values(self, values: np.ndarray) -> "ModelState":
+        """A state on the same support holding values, laid out as values()."""
+        if self.support is None:
+            return ModelState(amplitudes=values, encoding=self.encoding)
+        return ModelState(_scattered(len(self.amplitudes), self.support, values),
+                          self.encoding, self.support)
+
     def posterior(self) -> np.ndarray:
         """Classical distribution the state encodes; float noise clamped at 0."""
-        p = np.maximum(self.amplitudes, 0.0)
+        p = np.maximum(self.values(), 0.0)
         if self.encoding == "born":
             p *= p
         p /= p.sum()
-        return p
+        return p if self.support is None else _scattered(len(self.amplitudes),
+                                                           self.support, p)
+
+
+def _scattered(size: int, ranks: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The size-long vector holding values at ranks and 0 elsewhere."""
+    out = np.zeros(size)
+    out[ranks] = values
+    return out
 
 
 def _valid_count(count) -> bool:
@@ -114,12 +154,19 @@ class EmpiricalInitial:
     def degree(self) -> int:
         return len(self.entries[0][0])
 
-    def counts_vector(self, n: int) -> np.ndarray:
+    def support_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted distinct ranks of the dataset and the total count of each."""
         ranks = _backend.encode_batch([one_line for one_line, _ in self.entries])
-        counts = np.zeros(math.factorial(n))
-        # unbuffered, in entry order: repeated ranks add up as a loop would
-        np.add.at(counts, ranks, [float(count) for _, count in self.entries])
-        return counts
+        totals: dict = {}
+        # in entry order, so a float sum past 2**53 rounds as it always has
+        for rank, (_, count) in zip(ranks.tolist(), self.entries):
+            totals[rank] = totals.get(rank, 0.0) + float(count)
+        support = sorted(totals)
+        return np.array(support, dtype=np.intp), np.array([totals[r] for r in support])
+
+    def counts_vector(self, n: int) -> np.ndarray:
+        ranks, counts = self.support_counts()
+        return _scattered(math.factorial(n), ranks, counts)
 
 
 @dataclass(frozen=True)
@@ -244,22 +291,37 @@ def encode_distribution(h: np.ndarray, encoding: str) -> np.ndarray:
     return np.sqrt(h) if encoding == "born" else h / np.linalg.norm(h)
 
 
-def _initial_amplitudes(plan: ExperimentPlan) -> np.ndarray:
+def _initial_state(plan: ExperimentPlan) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted support ranks of the plan's initial state and its amplitudes there."""
     if plan.initial == "identity":
-        amps = np.zeros(math.factorial(plan.n))
-        amps[0] = 1.0
-        return amps
+        return np.zeros(1, dtype=np.intp), np.ones(1)
+    if plan.encoding == "born":
+        ranks, counts = plan.initial.support_counts()
+        # a total of integer counts is exact in any summation order
+        counts /= counts.sum()
+        return ranks, np.sqrt(counts)
+    # np.linalg.norm of the dense vector, whose summation order sets the bytes
     counts = plan.initial.counts_vector(plan.n)
     counts /= counts.sum()
-    return encode_distribution(counts, plan.encoding)
+    support = np.flatnonzero(counts)
+    return support, encode_distribution(counts, plan.encoding)[support]
 
 
 def run_plan(plan: ExperimentPlan) -> tuple[ModelState, RunReport]:
-    """Execute all steps in order; returns the final state and its report."""
-    amps = _initial_amplitudes(plan)
+    """Execute all steps in order; returns the final state and its report.
+
+    Until the first diffusion step the state is kept as its amplitudes on
+    the initial state's support, the only ranks conditioning can leave
+    nonzero; that step scatters it into the dense n!-vector.
+    """
+    support, amps = _initial_state(plan)
+    lines = all_one_lines(plan.n)[support]
     ledger: list = []
     for number, step in enumerate(plan.steps, start=1):
         if isinstance(step, DiffusionStep):
+            if support is not None:
+                amps = _scattered(math.factorial(plan.n), support, amps)
+                support, lines = None, None
             # the block scaling and p_s are the same for both encodings
             out, p_s = apply_diffusion_spectral(gft_forward(amps, "unitary"), step)
             amps = gft_inverse(out)
@@ -273,14 +335,16 @@ def run_plan(plan: ExperimentPlan) -> tuple[ModelState, RunReport]:
                 "success_prob": p_s, "bound": bound_value,
             })
         else:
-            amps, p_s, cost = reorder_update_condition(amps, step, plan.encoding)
+            amps, p_s, cost = reorder_update_condition(amps, step, plan.encoding, lines)
             ledger.append({
                 "step": number, "type": "conditioning", "kind": step.kind,
                 "s": step.s, "success_prob": p_s, "bound": p_s,
                 # the relabeling swaps, then as many to uncompute them
                 "swaps": 2 * cost.swaps,
             })
-    state = ModelState(amplitudes=amps, encoding=plan.encoding)
+    if support is not None:
+        amps = _scattered(math.factorial(plan.n), support, amps)
+    state = ModelState(amplitudes=amps, encoding=plan.encoding, support=support)
     if plan.sharpening is not None:
         state, p_s = sharpen_map(state, plan.sharpening)
         ledger.append({"step": len(plan.steps) + 1, "type": "sharpen",
@@ -316,27 +380,34 @@ def sharpen_map(state: ModelState, m: int) -> tuple[ModelState, float]:
     """
     if m < 1 or int(m) != m:
         raise ValueError(f"exponent must be a positive integer, got {m}")
+    values = state.values()
     if m == 1:
         p_s = 1.0
-        amps = state.amplitudes.copy()
+        values = values.copy()
     else:
-        powered = float_power(state.amplitudes, m)
+        powered = float_power(values, m)
         p_s = float(np.sum(powered * powered))
-        amps = renormalized(powered, p_s, "sharpening")
-    return ModelState(amplitudes=amps, encoding=state.encoding), p_s
+        values = renormalized(powered, p_s, "sharpening")
+    return state.with_values(values), p_s
 
 
 def sample_computational(state: ModelState, count: int, seed: int) -> np.ndarray:
     """Measure in the permutation basis: count draws with Pr ~ amplitude^2.
 
     Returns a (count, n) uint8 array; row i is the 1-based one-line form of
-    draw i.
+    draw i. The draws are those of Generator.choice over all n! ranks, taken
+    by its own steps over the nonzero ranks alone: a rank of probability 0
+    adds nothing to the cdf, and searchsorted never returns it.
     """
-    probs = state.amplitudes * state.amplitudes
-    probs /= probs.sum()
-    rng = np.random.default_rng(seed)
-    ranks = rng.choice(len(probs), size=int(count), p=probs)
-    return all_one_lines(state.n)[ranks]
+    support = state.support
+    if support is None:
+        support = np.flatnonzero(state.amplitudes)
+    cdf = state.amplitudes[support]
+    cdf *= cdf
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    uniform = np.random.default_rng(seed).random(int(count))
+    return all_one_lines(state.n)[support[cdf.searchsorted(uniform, side="right")]]
 
 
 def sample_fourier(

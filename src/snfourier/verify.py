@@ -276,7 +276,7 @@ def _check_reorder_equivalence(n_max, rng):
             psi = encode_distribution(_random_probability(rng, fact), encoding)
             _, _, cost = reorder_update_condition(psi, obs, encoding)
             if not np.array_equal(_window_mask(obs, n, cost.window),
-                                  _consistent_mask(obs, n)):
+                                  _consistent_mask(obs, all_one_lines(n))):
                 return CheckResult(name, False, f"window mask differs at n={n}")
             budget = len(obs.touched()) * n
             if cost.swaps > budget:

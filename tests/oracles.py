@@ -235,3 +235,10 @@ S3_CHARACTERS = {
     (1, 1, 1): {(1, 1, 1): 1, (2, 1): -1, (3,): 1},
 }
 S3_CLASS_SIZES = {(1, 1, 1): 1, (2, 1): 3, (3,): 2}
+
+
+def choice_ranks(amplitudes, count, seed):
+    """Ranks Generator.choice draws over all n! ranks with Pr ~ amplitude^2."""
+    probs = np.asarray(amplitudes, dtype=np.float64) ** 2
+    probs /= probs.sum()
+    return np.random.default_rng(seed).choice(len(probs), size=count, p=probs)

@@ -267,7 +267,8 @@ def test_criterion_08_reorder_update_equivalence(acceptance):
         h = oracles.random_probability(rng, math.factorial(n))
         psi = h / np.linalg.norm(h) if encoding == "amplitude" else np.sqrt(h)
         _, _, cost = reorder_update_condition(psi, obs, encoding)
-        assert np.array_equal(_window_mask(obs, n, cost.window), _consistent_mask(obs, n))
+        assert np.array_equal(_window_mask(obs, n, cost.window),
+                              _consistent_mask(obs, all_one_lines(n)))
         budget = len(obs.touched()) * n
         assert cost.swaps <= budget
 

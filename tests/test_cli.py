@@ -267,6 +267,21 @@ def test_sample_at_n9_within_1_gib(tmp_path):
                for line in lines[1:])
 
 
+def test_conditioned_sample_at_n9_within_1_gib_draws_from_the_prior(tmp_path):
+    prior = [list(line) for line in itertools.islice(
+        itertools.permutations(range(1, 10)), 0, None, 7001)]
+    plan = {**PLAN_N8_CONDITIONED, "n": 9, "initial": {"kind": "empirical", "dataset": [
+        {"one_line": line, "count": 1 + i % 4} for i, line in enumerate(prior)]}}
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    done = _run_module(tmp_path, 1 << 30, "sample", "--plan", "plan.json", "--out", "out",
+                       "--count", "2000", "--mode", "computational")
+    assert done.returncode == 0, done.stderr
+    lines = (tmp_path / "out" / "samples.csv").read_text().splitlines()
+    assert lines[0] == "draw,one_line" and len(lines) == 2001
+    assert {line.split(",")[1] for line in lines[1:]} <= {
+        " ".join(map(str, line)) for line in prior}
+
+
 def test_verify_passes(capsys):
     assert run_cli("verify", "--n-max", "3") == 0
     out = capsys.readouterr().out

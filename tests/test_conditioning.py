@@ -10,7 +10,7 @@ from snfourier import conditioning
 from snfourier.conditioning import Observation, _consistent_mask, bayes_update, \
     consistency_predicate, reorder_update_condition, success_probability_conditioning
 from snfourier.errors import AnnihilatedStateError
-from snfourier.perms import Permutation, reorder_sequence
+from snfourier.perms import Permutation, all_one_lines, reorder_sequence
 from snfourier.transform import left_shift
 from snfourier.verify import _window_mask
 
@@ -211,7 +211,8 @@ def test_reorder_equals_bayes_randomized():
         obs = random_observation(n)
         encoding = "amplitude" if RNG.random() < 0.5 else "born"
         _, _, cost = reorder_update_condition(psi, obs, encoding)
-        assert np.array_equal(_window_mask(obs, n, cost.window), _consistent_mask(obs, n))
+        assert np.array_equal(_window_mask(obs, n, cost.window),
+                              _consistent_mask(obs, all_one_lines(n)))
         moved = len(obs.indices) if obs.kind == "assignment" else len(obs.items)
         assert cost.swaps <= moved * n
 
@@ -231,7 +232,8 @@ def test_reorder_equals_bayes_bitwise_at_n8():
     ]
     for obs in observations:
         window = "front" if obs.kind == "assignment" else "back"
-        assert np.array_equal(_window_mask(obs, n, window), _consistent_mask(obs, n))
+        assert np.array_equal(_window_mask(obs, n, window),
+                              _consistent_mask(obs, all_one_lines(n)))
         swaps = len(reorder_sequence(n, obs.touched(), f"to_{window}")[1])
         for encoding in ("amplitude", "born"):
             direct, ps_direct = bayes_update(psi, obs, encoding)

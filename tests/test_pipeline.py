@@ -8,13 +8,14 @@ import pytest
 from scipy import stats
 
 import oracles
-from snfourier.conditioning import Observation
+from snfourier.conditioning import Observation, bayes_update
 from snfourier.diffusion import kernel_as_function
 from snfourier.errors import AnnihilatedStateError, DegreeGuardError, PlanValidationError
 from snfourier.partitions import Partition, irrep_dimension, enumerate_partitions
-from snfourier.perms import reorder_sequence
+from snfourier.perms import all_one_lines, reorder_sequence
 from snfourier.pipeline import DiffusionStep, EmpiricalInitial, \
-    ExperimentPlan, ModelState, amplification_cost, run_plan, sample_computational, \
+    ExperimentPlan, ModelState, amplification_cost, encode_distribution, run_plan, \
+    sample_computational, \
     sample_fourier, sharpen_map, state_prep_unitary, verify_posterior_block_encoding
 from snfourier.transform import convolve
 
@@ -235,6 +236,113 @@ def test_run_plan_annihilation_surfaces():
     )
     with pytest.raises(AnnihilatedStateError):
         run_plan(plan)
+
+
+def _support_plan(n, encoding, rng):
+    """A conditioning-only plan whose hard steps keep one prior permutation.
+
+    The prior repeats entries, or is the identity; the steps mix soft and
+    hard (s = 1) assignments and rankings with empty observations.
+    """
+    if rng.random() < 0.25:
+        initial, kept = "identity", tuple(range(1, n + 1))
+    else:
+        lines = [tuple(int(v) for v in rng.permutation(n) + 1) for _ in range(6)]
+        lines += lines[:3]
+        initial = EmpiricalInitial(entries=tuple(
+            (line, int(rng.integers(1, 6))) for line in lines))
+        kept = lines[0]
+    steps = [Observation("assignment", s=0.9), Observation("ranking", items=(n,), s=0.7)]
+    for _ in range(6):
+        hard = rng.random() < 0.3
+        s = 1.0 if hard else round(float(rng.uniform(0.55, 0.95)), 3)
+        if rng.random() < 0.5:
+            slots = tuple(int(i) + 1 for i in rng.choice(n, size=min(2, n - 1),
+                                                          replace=False))
+            values = (tuple(kept[i - 1] for i in slots) if hard else
+                      tuple(int(v) + 1 for v in rng.choice(n, size=len(slots),
+                                                            replace=False)))
+            steps.append(Observation("assignment", s=s, indices=slots, values=values))
+        else:
+            items = [int(i) + 1 for i in rng.choice(n, size=min(3, n), replace=False)]
+            if hard:
+                items.sort(key=lambda item: kept[item - 1])
+            steps.append(Observation("ranking", s=s, items=tuple(items)))
+    rng.shuffle(steps)
+    return ExperimentPlan(n=n, steps=tuple(steps), encoding=encoding, initial=initial,
+                          sharpening=int(rng.integers(1, 4)),
+                          amplitude_empirical_ok=True)
+
+
+@pytest.mark.parametrize("encoding", ["amplitude", "born"])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_support_route_equals_dense_bayes_chain(n, encoding):
+    rng = np.random.default_rng(100 * n + len(encoding))
+    for _ in range(4):
+        plan = _support_plan(n, encoding, rng)
+        if plan.initial == "identity":
+            psi = np.zeros(math.factorial(n))
+            psi[0] = 1.0
+        else:
+            h = plan.initial.counts_vector(n)
+            psi = encode_distribution(h / h.sum(), encoding)
+        probs = []
+        for obs in plan.steps:
+            psi, p_s = bayes_update(psi, obs, encoding)
+            probs.append(p_s)
+        powered = psi ** plan.sharpening
+        probs.append(float(powered @ powered))
+        psi = powered / math.sqrt(probs[-1])
+
+        state, report = run_plan(plan)
+        assert state.support is not None
+        assert np.all(state.amplitudes[np.setdiff1d(np.arange(len(psi)),
+                                                    state.support)] == 0.0)
+        worst = np.max(np.abs(state.amplitudes - psi)) / np.max(np.abs(psi))
+        assert worst <= 1e-15
+        measured = [entry["success_prob"] for entry in report.ledger]
+        assert measured[:-1] == pytest.approx(probs[:-1], rel=1e-15, abs=0.0)
+        # a sum of psi^(2m) moves m times as far as psi itself, relatively
+        assert measured[-1] == pytest.approx(probs[-1], rel=plan.sharpening * 1e-15,
+                                             abs=0.0)
+
+
+def test_support_route_annihilation_message(tmp_path, capsys):
+    from snfourier.cli import main
+
+    plan = tmp_path / "plan.json"
+    plan.write_text(
+        '{"n": 4, "encoding": "born", "initial": {"kind": "empirical", "dataset": '
+        '[{"one_line": [1, 2, 3, 4], "count": 2}, {"one_line": [2, 1, 3, 4], "count": 1}]}, '
+        '"steps": [{"type": "conditioning", "observation": '
+        '{"kind": "assignment", "indices": [1], "values": [3], "s": 1.0}}]}')
+    assert main(["run", "--plan", str(plan), "--out", str(tmp_path / "o")]) == 4
+    assert capsys.readouterr().err == "error: conditioning left no surviving amplitude\n"
+    assert not (tmp_path / "o").exists()
+
+
+def _sampler_states(rng):
+    dense = oracles.random_unit(rng, 120)
+    zeros = dense.copy()
+    zeros[rng.choice(120, size=70, replace=False)] = 0.0
+    zeros /= np.linalg.norm(zeros)
+    support = np.sort(rng.choice(5040, size=40, replace=False))
+    on_support = np.zeros(5040)
+    on_support[support] = oracles.random_unit(rng, 40)
+    return {
+        "dense": ModelState(amplitudes=dense, encoding="amplitude"),
+        "exact zeros": ModelState(amplitudes=zeros, encoding="born"),
+        "support": ModelState(amplitudes=on_support, encoding="born", support=support),
+    }
+
+
+@pytest.mark.parametrize("kind", ["dense", "exact zeros", "support"])
+def test_sampler_draws_what_generator_choice_draws(kind):
+    state = _sampler_states(np.random.default_rng(5))[kind]
+    for seed in (0, 7, 2**63 + 5):
+        ranks = oracles.choice_ranks(state.amplitudes, 3000, seed)
+        draws = sample_computational(state, 3000, seed)
+        assert np.array_equal(draws, all_one_lines(state.n)[ranks])
 
 
 def test_plan_validation():
