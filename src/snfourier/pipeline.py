@@ -74,13 +74,6 @@ class ModelState:
             return self.amplitudes
         return self.amplitudes[self.support]
 
-    def with_values(self, values: np.ndarray) -> "ModelState":
-        """A state on the same support holding values, laid out as values()."""
-        if self.support is None:
-            return ModelState(amplitudes=values, encoding=self.encoding)
-        return ModelState(_scattered(len(self.amplitudes), self.support, values),
-                          self.encoding, self.support)
-
     def posterior(self) -> np.ndarray:
         """Classical distribution the state encodes; float noise clamped at 0."""
         p = np.maximum(self.values(), 0.0)
@@ -388,7 +381,9 @@ def sharpen_map(state: ModelState, m: int) -> tuple[ModelState, float]:
         powered = float_power(values, m)
         p_s = float(np.sum(powered * powered))
         values = renormalized(powered, p_s, "sharpening")
-    return state.with_values(values), p_s
+    if state.support is not None:
+        values = _scattered(len(state.amplitudes), state.support, values)
+    return ModelState(values, state.encoding, state.support), p_s
 
 
 def sample_computational(state: ModelState, count: int, seed: int) -> np.ndarray:
