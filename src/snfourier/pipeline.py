@@ -290,7 +290,7 @@ def _initial_state(plan: ExperimentPlan) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(1, dtype=np.intp), np.ones(1)
     if plan.encoding == "born":
         ranks, counts = plan.initial.support_counts()
-        # a total of integer counts is exact in any summation order
+        # a total of integer counts below 2**53 is exact in any summation order
         counts /= counts.sum()
         return ranks, np.sqrt(counts)
     # np.linalg.norm of the dense vector, whose summation order sets the bytes

@@ -8,6 +8,7 @@ import pytest
 from scipy import stats
 
 import oracles
+from snfourier.cli import main
 from snfourier.conditioning import Observation, bayes_update
 from snfourier.diffusion import kernel_as_function
 from snfourier.errors import AnnihilatedStateError, DegreeGuardError, PlanValidationError
@@ -15,8 +16,8 @@ from snfourier.partitions import Partition, irrep_dimension, enumerate_partition
 from snfourier.perms import all_one_lines, reorder_sequence
 from snfourier.pipeline import DiffusionStep, EmpiricalInitial, \
     ExperimentPlan, ModelState, amplification_cost, encode_distribution, run_plan, \
-    sample_computational, \
-    sample_fourier, sharpen_map, state_prep_unitary, verify_posterior_block_encoding
+    sample_computational, sample_fourier, sharpen_map, state_prep_unitary, \
+    verify_posterior_block_encoding
 from snfourier.transform import convolve
 
 RNG = np.random.default_rng(47)
@@ -308,8 +309,6 @@ def test_support_route_equals_dense_bayes_chain(n, encoding):
 
 
 def test_support_route_annihilation_message(tmp_path, capsys):
-    from snfourier.cli import main
-
     plan = tmp_path / "plan.json"
     plan.write_text(
         '{"n": 4, "encoding": "born", "initial": {"kind": "empirical", "dataset": '
