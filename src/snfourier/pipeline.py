@@ -14,13 +14,14 @@ so they never move amplitude onto a new rank; only diffusion, a group
 convolution, spreads the state. run_plan therefore keeps the state as its
 amplitudes on the initial state's support (the prior's permutations, or the
 identity) until the first diffusion step, which scatters it into the dense
-n!-vector its transform needs. A state that no diffusion has spread carries
-that support, and sharpening, the posterior and sampling read only it.
+n!-vector its transform needs; a plan with no diffusion scatters it once
+after its last conditioning step. Sharpening and the posterior read the
+dense vector.
 
 Sampling uses NumPy's default_rng (PCG64) with a 64-bit seed; the generator
 identity is part of the output contract, so seeded runs are reproducible
-bit for bit. Computational draws are those of Generator.choice, taken by its
-own steps over the nonzero ranks alone.
+bit for bit. Computational draws take Generator.choice's own steps over the
+nonzero ranks alone.
 """
 
 from __future__ import annotations
@@ -45,43 +46,26 @@ from .transform import function_degree, gft_forward, gft_inverse
 
 @dataclass
 class ModelState:
-    """Unit state vector over Lehmer ranks and the encoding it stores.
-
-    support, when given, holds sorted ranks off which every amplitude is 0;
-    run_plan gives the initial state's support to a state no diffusion step
-    has spread, so sharpening and sampling read only those ranks.
-    """
+    """Unit state vector over Lehmer ranks and the encoding it stores."""
 
     amplitudes: np.ndarray
     encoding: str
-    support: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.support is None:
-            self.amplitudes = checked_state(self.amplitudes, self.encoding)
-        else:
-            self.amplitudes = np.asarray(self.amplitudes, dtype=np.float64)
-            checked_state(self.amplitudes[self.support], self.encoding)
+        self.amplitudes = checked_state(self.amplitudes, self.encoding)
         function_degree(self.amplitudes)
 
     @property
     def n(self) -> int:
         return function_degree(self.amplitudes)
 
-    def values(self) -> np.ndarray:
-        """The amplitudes on the support, or all of them when there is none."""
-        if self.support is None:
-            return self.amplitudes
-        return self.amplitudes[self.support]
-
     def posterior(self) -> np.ndarray:
         """Classical distribution the state encodes; float noise clamped at 0."""
-        p = np.maximum(self.values(), 0.0)
+        p = np.maximum(self.amplitudes, 0.0)
         if self.encoding == "born":
             p *= p
         p /= p.sum()
-        return p if self.support is None else _scattered(len(self.amplitudes),
-                                                           self.support, p)
+        return p
 
 
 def _scattered(size: int, ranks: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -288,12 +272,15 @@ def _initial_state(plan: ExperimentPlan) -> tuple[np.ndarray, np.ndarray]:
     """Sorted support ranks of the plan's initial state and its amplitudes there."""
     if plan.initial == "identity":
         return np.zeros(1, dtype=np.intp), np.ones(1)
-    if plan.encoding == "born":
+    # counts are integers >= 1, so while their total is at most 2**53 every
+    # partial sum is an exact float and any summation order gives its bits
+    exact = sum(count for _, count in plan.initial.entries) <= 2**53
+    if plan.encoding == "born" and exact:
         ranks, counts = plan.initial.support_counts()
-        # a total of integer counts below 2**53 is exact in any summation order
         counts /= counts.sum()
         return ranks, np.sqrt(counts)
-    # np.linalg.norm of the dense vector, whose summation order sets the bytes
+    # the sum over the dense vector, or np.linalg.norm of it, whose summation
+    # order sets the bytes
     counts = plan.initial.counts_vector(plan.n)
     counts /= counts.sum()
     support = np.flatnonzero(counts)
@@ -305,7 +292,8 @@ def run_plan(plan: ExperimentPlan) -> tuple[ModelState, RunReport]:
 
     Until the first diffusion step the state is kept as its amplitudes on
     the initial state's support, the only ranks conditioning can leave
-    nonzero; that step scatters it into the dense n!-vector.
+    nonzero; that step, or the end of the steps, scatters it into the dense
+    n!-vector.
     """
     support, amps = _initial_state(plan)
     lines = all_one_lines(plan.n)[support]
@@ -337,7 +325,7 @@ def run_plan(plan: ExperimentPlan) -> tuple[ModelState, RunReport]:
             })
     if support is not None:
         amps = _scattered(math.factorial(plan.n), support, amps)
-    state = ModelState(amplitudes=amps, encoding=plan.encoding, support=support)
+    state = ModelState(amplitudes=amps, encoding=plan.encoding)
     if plan.sharpening is not None:
         state, p_s = sharpen_map(state, plan.sharpening)
         ledger.append({"step": len(plan.steps) + 1, "type": "sharpen",
@@ -373,30 +361,27 @@ def sharpen_map(state: ModelState, m: int) -> tuple[ModelState, float]:
     """
     if m < 1 or int(m) != m:
         raise ValueError(f"exponent must be a positive integer, got {m}")
-    values = state.values()
     if m == 1:
         p_s = 1.0
-        values = values.copy()
+        amps = state.amplitudes.copy()
     else:
-        powered = float_power(values, m)
+        powered = float_power(state.amplitudes, m)
         p_s = float(np.sum(powered * powered))
-        values = renormalized(powered, p_s, "sharpening")
-    if state.support is not None:
-        values = _scattered(len(state.amplitudes), state.support, values)
-    return ModelState(values, state.encoding, state.support), p_s
+        amps = renormalized(powered, p_s, "sharpening")
+    return ModelState(amplitudes=amps, encoding=state.encoding), p_s
 
 
 def sample_computational(state: ModelState, count: int, seed: int) -> np.ndarray:
     """Measure in the permutation basis: count draws with Pr ~ amplitude^2.
 
     Returns a (count, n) uint8 array; row i is the 1-based one-line form of
-    draw i. The draws are those of Generator.choice over all n! ranks, taken
-    by its own steps over the nonzero ranks alone: a rank of probability 0
-    adds nothing to the cdf, and searchsorted never returns it.
+    draw i. The draws take Generator.choice's steps over the nonzero ranks
+    alone: a rank of probability 0 adds nothing to the cdf, and searchsorted
+    never returns it. They equal choice's draws over all n! ranks up to the
+    last-ulp rounding of the cdf, which is normalised here by its own last
+    entry rather than by a sum over all n! squares.
     """
-    support = state.support
-    if support is None:
-        support = np.flatnonzero(state.amplitudes)
+    support = np.flatnonzero(state.amplitudes)
     cdf = state.amplitudes[support]
     cdf *= cdf
     np.cumsum(cdf, out=cdf)

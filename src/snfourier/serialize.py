@@ -382,50 +382,7 @@ def function_to_csv(values) -> str:
     return _ranked_rows("rank,value\n", values=arr)
 
 
-# Bytes a well-formed body row may hold beyond its "," and "\n": the digits,
-# signs, point and exponent of int() and float() literals, and spaces.
-_BODY_BYTES = np.zeros(256, dtype=bool)
-_BODY_BYTES[np.frombuffer(b"0123456789+-.eE ,\n", dtype=np.uint8)] = True
-_BODY_BYTES.flags.writeable = False
-
-
-def _function_values(text: str):
-    """Values of a rank,value text read in numpy, or None for anything but
-    one header and rows of exactly two plain cells, each rank once."""
-    header, _, body = text.replace("\r\n", "\n").partition("\n")
-    if [cell.strip() for cell in header.split(",")] != ["rank", "value"]:
-        return None
-    body = body[:-1] if body.endswith("\n") else body
-    raw = np.frombuffer(body.encode("utf-8"), dtype=np.uint8)
-    if not body or not _BODY_BYTES[raw].all():
-        return None
-    # the separators alternate ",", "\n", ..., "," exactly when every row has
-    # two cells and no row is blank
-    seps = raw[(raw == ord(",")) | (raw == ord("\n"))]
-    count = (len(seps) + 1) // 2
-    if (len(seps) % 2 == 0 or np.any(seps[0::2] != ord(","))
-            or np.any(seps[1::2] != ord("\n"))):
-        return None
-    cells = body.replace("\n", ",").split(",")
-    try:
-        function_degree(np.empty(count))
-        # int() and float() themselves, so every value is the checked reader's
-        ranks = np.fromiter(map(int, cells[0::2]), np.int64, count)
-        values = np.fromiter(map(float, cells[1::2]), np.float64, count)
-    except (ValueError, OverflowError):
-        return None
-    if not np.array_equal(np.sort(ranks), np.arange(count)):
-        return None
-    out = np.empty(count)
-    out[ranks] = values
-    return out
-
-
 def function_from_csv(text: str) -> np.ndarray:
-    values = _function_values(text)
-    if values is not None:
-        return values
-    # the checked reader, whose errors name the first bad row
     rows = [row for row in csv.reader(io.StringIO(text)) if row]
     if not rows or [cell.strip() for cell in rows[0]] != ["rank", "value"]:
         raise ValueError("expected a rank,value header")
