@@ -1,5 +1,5 @@
 """Hot kernels in numpy: batch ranking of one-line forms, plus the cached
-rank-order tables that it and transform.convolve read.
+rank-order tables that every permutation index in the library comes from.
 """
 
 import importlib.util
@@ -84,6 +84,7 @@ def all_perms0(n):
     return out.T
 
 
+# no library code calls this; perfbench/spans.py patches it by name
 @lru_cache(maxsize=None)
 def all_inverses0(n):
     """0-based one-line forms of every rank's inverse permutation."""
@@ -94,12 +95,15 @@ def all_inverses0(n):
 
 
 def encode_batch(one_lines):
-    """Ranks of a batch of one-line rows (only their order matters)."""
-    arr = np.ascontiguousarray(one_lines, dtype=np.int64)
-    m, n = arr.shape
+    """Ranks of a batch of one-line rows (only their order matters).
+
+    Rows are read as uint8, so values must be below 256; each slot's count
+    of smaller later values, at most n - 1, is summed in uint8."""
+    cols = np.asarray(one_lines, dtype=np.uint8).T  # slot-major: row i is slot i
+    n, m = cols.shape
     weights = factorial_weights(n)
     ranks = np.zeros(m, dtype=np.int64)
     for i in range(n - 1):
-        ranks += weights[i] * np.sum(arr[:, i + 1:] < arr[:, i : i + 1], axis=1)
+        # an int64 array, not a scalar, keeps the product int64 on numpy 1.x
+        ranks += weights[i:i + 1] * np.sum(cols[i + 1:] < cols[i], axis=0, dtype=np.uint8)
     return ranks
-

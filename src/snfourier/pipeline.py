@@ -258,9 +258,14 @@ class RunReport:
     p_total: float
     lower_bound: Optional[float]
     lower_bound_note: str
-    posterior: np.ndarray
+    state: ModelState
     ledger: list
     amplification: dict
+
+    @property
+    def posterior(self) -> np.ndarray:
+        """The final state's classical distribution, built on each read."""
+        return self.state.posterior()
 
 
 def encode_distribution(h: np.ndarray, encoding: str) -> np.ndarray:
@@ -345,7 +350,7 @@ def run_plan(plan: ExperimentPlan) -> tuple[ModelState, RunReport]:
         p_total=p_total,
         lower_bound=lower_bound,
         lower_bound_note=note,
-        posterior=state.posterior(),
+        state=state,
         ledger=ledger,
         amplification=_amplification(p_total),
     )

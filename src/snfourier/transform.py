@@ -130,18 +130,14 @@ def _fft_plan(n: int):
 
     Position x = (j_n, ..., j_2) in mixed radix, j_n most significant, holds
     sigma = c^(n)_{j_n} ... c^(2)_{j_2}, where c^(k)_j sends k to j+1; the
-    gather maps x to the Lehmer rank of that sigma. Level k = 2..n holds the
-    count n!/k! of S_k cosets and, per partition lam of k in canonical
-    order, its dimension and slabs.
+    gather maps x to the Lehmer rank of that sigma. As j_k = #{i < k :
+    sigma(i) < sigma(k)}, x is the rank of sigma's one-line form reversed.
+    Level k = 2..n holds the count n!/k! of S_k cosets and, per partition
+    lam of k in canonical order, its dimension and slabs.
     """
-    lines = np.zeros((1, 1), dtype=np.int64)  # 0-based one-line forms
-    for k in range(2, n + 1):
-        # c_j moves the values j..k-2 up by one and puts k-1 at j
-        lines = np.concatenate([
-            np.column_stack((lines + (lines >= j), np.full(len(lines), j)))
-            for j in range(k)
-        ])
-    gather = _backend.encode_batch(lines)
+    position = _backend.encode_batch(_backend.all_perms0(n)[:, ::-1])
+    gather = np.empty_like(position)
+    gather[position] = np.arange(len(position))
     gather.setflags(write=False)
     levels = []
     for k in range(2, n + 1):
@@ -220,18 +216,17 @@ def gft_inverse(spectrum: FourierSpectrum) -> np.ndarray:
 
 
 def convolve(q, h) -> np.ndarray:
-    """Group convolution (q * h)(sigma) = sum_tau q(sigma tau^-1) h(tau)."""
+    """Group convolution (q * h)(sigma) = sum_tau q(sigma tau^-1) h(tau),
+    summed as q * h = sum_{g : q(g) != 0} q(g) left_shift(g, h)."""
     qv = np.ascontiguousarray(q, dtype=np.float64)
     hv = np.ascontiguousarray(h, dtype=np.float64)
     n = function_degree(qv)
     if len(hv) != len(qv):
         raise ValueError("convolution operands must share the same degree")
-    # sigma[inv0] holds sigma tau^-1 for every tau, in rank order of tau
-    inv0 = _backend.all_inverses0(n)
-    return np.array([
-        float(np.dot(qv[_backend.encode_batch(sigma[inv0])], hv))
-        for sigma in _backend.all_perms0(n)
-    ])
+    out = np.zeros(len(qv))
+    for g in np.flatnonzero(qv):
+        out += qv[g] * left_shift(Permutation(_backend.all_perms0(n)[g] + 1), hv)
+    return out
 
 
 def convolve_spectra(qhat: FourierSpectrum, hhat: FourierSpectrum) -> FourierSpectrum:
@@ -261,8 +256,7 @@ def left_shift(tau: Permutation, h) -> np.ndarray:
     if tau.n != n:
         raise ValueError("shift degree and function degree differ")
     lines = all_one_lines(n)
-    tau_arr = np.asarray(tau.one_line, dtype=np.int64)
-    shifted = tau_arr[lines - 1]
+    shifted = np.asarray(tau.one_line, dtype=np.uint8)[lines - 1]
     out = np.empty_like(values)
     out[_backend.encode_batch(shifted)] = values
     return out

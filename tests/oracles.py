@@ -202,6 +202,27 @@ def convolve_oracle(q, h, n):
     return out
 
 
+def coset_order_gather(n):
+    """Lehmer rank of sigma = c^(n)_{j_n} ... c^(2)_{j_2} at every position
+    x = (j_n, ..., j_2) of the FFT's coset order, j_n most significant.
+
+    Builds the 0-based one-line forms level by level: the coset of c^(k)_j
+    moves the values j..k-2 of every earlier row up by one and puts j in
+    slot k-1, and the k cosets of S_{k-1} lie side by side. Ranks the rows
+    by counting inversions per row.
+    """
+    lines = np.zeros((1, 1), dtype=np.int64)
+    for k in range(2, n + 1):
+        lines = np.concatenate([
+            np.column_stack((lines + (lines >= j), np.full(len(lines), j)))
+            for j in range(k)
+        ])
+    ranks = np.zeros(len(lines), dtype=np.int64)
+    for i in range(n - 1):
+        ranks += math.factorial(n - 1 - i) * np.sum(lines[:, i + 1:] < lines[:, i:i + 1], axis=1)
+    return ranks
+
+
 def random_probability(rng, size, floor=0.25):
     """Strictly positive random distribution summing to 1."""
     h = rng.random(size) + floor

@@ -33,11 +33,23 @@ def test_swap_sequence_visits_every_rank_once():
         assert seen == set(range(math.factorial(n)))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_encode_batch_matches_inversion_count(n):
-    lines = oracles.all_perms_lex(n)
-    expected = [oracles.factorial_rank(oracles.inversion_digits(line)) for line in lines]
-    assert np.array_equal(_backend.encode_batch(np.array(lines)), expected)
+    lines = np.array(oracles.all_perms_lex(n))
+    rows = np.concatenate([lines[::-1], RNG.permutation(lines)])
+    expected = [oracles.factorial_rank(oracles.inversion_digits(row)) for row in rows.tolist()]
+    # 1-based and 0-based values rank alike
+    for one_lines in (rows, rows - 1):
+        assert np.array_equal(_backend.encode_batch(one_lines), expected)
+
+
+def test_encode_batch_ranks_the_table_in_order():
+    for n in range(1, 10):
+        table = _backend.all_perms0(n)
+        expected = np.arange(math.factorial(n))
+        assert np.array_equal(_backend.encode_batch(table), expected)
+        # a row-major copy ranks the same as the slot-major view
+        assert np.array_equal(_backend.encode_batch(np.ascontiguousarray(table)), expected)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -67,9 +79,11 @@ def test_irrep_stack_matches_irrep_of(n):
 @pytest.mark.parametrize("n", [3, 4])
 def test_convolve_matches_oracle(n):
     fact = math.factorial(n)
-    q = oracles.random_probability(RNG, fact)
     h = RNG.standard_normal(fact)
-    assert np.allclose(convolve(q, h), oracles.convolve_oracle(q, h, n), atol=1e-12)
+    sparse = np.zeros(fact)  # exact zeros, which convolve skips
+    sparse[RNG.choice(fact, size=3, replace=False)] = RNG.random(3)
+    for q in (oracles.random_probability(RNG, fact), sparse, RNG.standard_normal(fact)):
+        assert np.allclose(convolve(q, h), oracles.convolve_oracle(q, h, n), atol=1e-12)
 
 
 def test_all_perms0_matches_lex_order():

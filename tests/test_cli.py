@@ -17,7 +17,7 @@ import snfourier
 from snfourier import cli
 from snfourier.cli import main
 from snfourier.partitions import irrep_dimension
-from snfourier.pipeline import run_plan
+from snfourier.pipeline import ModelState, run_plan
 from snfourier.serialize import function_to_csv, plan_from_json, spectrum_from_json
 from snfourier.transform import gft_forward
 
@@ -387,6 +387,18 @@ def test_sample_computational_reproducible(tmp_path):
                    "--count", "200", "--seed", "999")
     assert code == 0
     assert (out_c / "samples.csv").read_text() != texts[0]
+
+
+def test_sample_computational_never_builds_the_posterior(tmp_path, monkeypatch):
+    # the posterior is an n!-long normalized copy that only run writes out
+    def posterior(self):
+        raise AssertionError("sample built the posterior")
+
+    monkeypatch.setattr(ModelState, "posterior", posterior)
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({**json.loads(PLAN_N3), "sharpening": 2}))
+    assert run_cli("sample", "--plan", str(plan), "--out", str(tmp_path / "out"),
+                   "--count", "20", "--mode", "computational") == 0
 
 
 # conditioning and sharpening only, so no BLAS call can move a probability

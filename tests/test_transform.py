@@ -10,7 +10,7 @@ import oracles
 from snfourier.errors import DegreeGuardError
 from snfourier.partitions import Partition, enumerate_partitions, irrep_dimension
 from snfourier.perms import Permutation
-from snfourier.transform import FourierSpectrum, convolve, convolve_spectra, \
+from snfourier.transform import FourierSpectrum, _fft_plan, convolve, convolve_spectra, \
     function_degree, gft_forward, gft_inverse, left_shift
 from snfourier.yor import irrep_of
 
@@ -132,6 +132,11 @@ def test_fft_matches_dense_oracle(n):
         assert np.max(np.abs(gft_inverse(spec) - oracles.dense_gft_inverse(spec))) <= 1e-12
 
 
+@pytest.mark.parametrize("n", range(1, 10))
+def test_fft_gather_is_the_coset_order(n):
+    assert np.array_equal(_fft_plan(n)[0], oracles.coset_order_gather(n))
+
+
 @pytest.mark.parametrize("n", [8, 9])
 def test_fft_parseval_and_roundtrip_beyond_the_dense_route(n):
     h = oracles.random_unit(RNG, math.factorial(n))
@@ -198,6 +203,20 @@ def test_convolution_theorem_both_normalizations():
     for lam in enumerate_partitions(n):
         assert np.allclose(qhat.blocks[lam] @ hhat.blocks[lam],
                            gft_forward(direct, "plain").blocks[lam], atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_convolution_theorem_beyond_the_dense_route(n):
+    # unlike Parseval and the round trip, this pins the gather: a direct-space
+    # product, with q on 8 permutations, against the blockwise one
+    fact = math.factorial(n)
+    q = np.zeros(fact)
+    q[RNG.choice(fact, size=8, replace=False)] = oracles.random_probability(RNG, 8)
+    h = RNG.standard_normal(fact)
+    spectral = convolve_spectra(gft_forward(q, "plain"), gft_forward(h, "plain"))
+    direct = gft_forward(convolve(q, h), "plain")
+    for lam in enumerate_partitions(n):
+        assert np.max(np.abs(spectral.blocks[lam] - direct.blocks[lam])) <= 1e-10
 
 
 def test_class_function_spectrum_is_scalar():
