@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UNIT_NORM_TOL, PlanValidationError, checked_state, renormalized
-from .perms import Permutation, all_one_lines, reorder_sequence
+from .perms import all_one_lines, reorder_sequence
 # no library code calls this; perfbench/spans.py patches it by name
 from .perms import ranks_after_sequence
 from .transform import function_degree
@@ -88,16 +88,6 @@ class Observation:
                 raise PlanValidationError(
                     name, f"observation references items beyond degree {n}"
                 )
-
-
-def consistency_predicate(obs: Observation, sigma: Permutation) -> bool:
-    """True when sigma satisfies every constraint of the observation."""
-    obs.check_degree(sigma.n)
-    line = sigma.one_line
-    if obs.kind == "assignment":
-        return all(line[i - 1] == j for i, j in zip(obs.indices, obs.values))
-    positions = [line[i - 1] for i in obs.items]
-    return all(a < b for a, b in zip(positions, positions[1:]))
 
 
 def _consistent_mask(obs: Observation, lines: np.ndarray) -> np.ndarray:

@@ -39,8 +39,8 @@ class AnnihilatedStateError(SnfourierError):
 
 
 def check_unit_norm(norm_sq: float) -> None:
-    """Reject a state whose squared norm strays from 1 by more than UNIT_NORM_TOL."""
-    if abs(norm_sq - 1.0) > UNIT_NORM_TOL:
+    """Reject a squared norm that is NaN or strays from 1 by more than UNIT_NORM_TOL."""
+    if not abs(norm_sq - 1.0) <= UNIT_NORM_TOL:
         raise ValueError(f"expected a unit-norm state, got squared norm {norm_sq!r}")
 
 

@@ -107,13 +107,6 @@ def diffusion_eigenvalue(lam: Partition, p) -> Fraction:
     return p + (1 - p) * transposition_character_ratio(lam)
 
 
-def partition_count_asymptotic(n: int) -> float:
-    """Hardy-Ramanujan leading term exp(pi sqrt(2n/3)) / (4 n sqrt(3))."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return math.exp(math.pi * math.sqrt(2.0 * n / 3.0)) / (4.0 * n * math.sqrt(3.0))
-
-
 def _class_size(n: int, cycle_type: tuple[int, ...]) -> int:
     mult: dict[int, int] = {}
     for k in cycle_type:

@@ -166,11 +166,6 @@ def reorder_sequence(
     return Permutation(tuple(ol)), tuple(seq)
 
 
-def register_qubits(n: int) -> int:
-    """Qubits needed to hold all Lehmer digit registers: sum of ceil(log2 k)."""
-    return sum((k - 1).bit_length() for k in range(2, n + 1))
-
-
 @lru_cache(maxsize=None)
 def all_one_lines(n: int) -> np.ndarray:
     """(n!, n) uint8 array of 1-based one-line forms, row r = permutation of rank r.

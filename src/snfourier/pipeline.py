@@ -240,11 +240,12 @@ def _amplification(p_total: float) -> dict:
 
     The exact product of success probabilities is positive, so a p_total of 0
     has underflowed: amplification_cost, which rejects 0, never sees it, and
-    no value exists. A subnormal p_total can overflow 1/p_total alone.
+    no value exists. A subnormal p_total can overflow 1/p_total alone, and
+    one that rounds above 1 is taken as 1.
     """
     costs = {}
     for mode, note in _AMPLIFICATION_NOTES.items():
-        cost = (amplification_cost(p_total, mode) if p_total > 0.0
+        cost = (amplification_cost(min(p_total, 1.0), mode) if p_total > 0.0
                 else AmplificationCost(mode, None, None, note))
         if cost.units is None or cost.expected_repeats == math.inf:
             note += _UNDERFLOW_NOTE + (" to 0" if p_total == 0.0 else "")
@@ -370,8 +371,10 @@ def sharpen_map(state: ModelState, m: int) -> tuple[ModelState, float]:
         p_s = 1.0
         amps = state.amplitudes.copy()
     else:
-        powered = float_power(state.amplitudes, m)
-        p_s = float(np.sum(powered * powered))
+        # an amplitude rounded past 1 would overflow under a large exponent
+        clipped = np.clip(state.amplitudes, -1.0, 1.0)
+        powered = float_power(clipped, m)
+        p_s = float(np.sum(np.multiply(powered, powered, out=clipped)))
         amps = renormalized(powered, p_s, "sharpening")
     return ModelState(amplitudes=amps, encoding=state.encoding), p_s
 

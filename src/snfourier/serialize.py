@@ -356,26 +356,6 @@ def spectrum_to_json(spectrum: FourierSpectrum) -> str:
     return "".join(parts)
 
 
-def spectrum_from_json(text: str) -> FourierSpectrum:
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or set(doc) != {"normalization", "blocks"}:
-        raise ValueError("spectrum document needs exactly normalization and blocks")
-    if not isinstance(doc["blocks"], dict) or not doc["blocks"]:
-        raise ValueError("blocks must be a non-empty object keyed by partition")
-    blocks = {}
-    for key, rows in doc["blocks"].items():
-        try:
-            parts = json.loads(key)
-        except json.JSONDecodeError:
-            raise ValueError(f"bad partition key {key!r}") from None
-        if not (isinstance(parts, list) and all(_plain_int(part) for part in parts)):
-            raise ValueError(f"bad partition key {key!r}")
-        lam = Partition(tuple(parts))
-        blocks[lam] = np.asarray(rows, dtype=np.float64)
-    n = next(iter(blocks)).weight
-    return FourierSpectrum(n=n, normalization=doc["normalization"], blocks=blocks)
-
-
 def function_to_csv(values) -> str:
     arr = np.asarray(values, dtype=np.float64)
     function_degree(arr)
@@ -409,8 +389,7 @@ def function_from_csv(text: str) -> np.ndarray:
 
 def posterior_to_csv(posterior) -> str:
     arr = np.asarray(posterior, dtype=np.float64)
-    n = check_degree(function_degree(arr))
-    return _ranked_rows("rank,one_line,probability\n", all_one_lines(n), arr)
+    return _ranked_rows("rank,one_line,probability\n", all_one_lines(function_degree(arr)), arr)
 
 
 def samples_to_csv(draws) -> str:
@@ -458,50 +437,6 @@ def report_to_json(plan: ExperimentPlan, report: RunReport) -> str:
             for mode, cost in report.amplification.items()
         },
     }
-    return _write_json(doc) + "\n"
-
-
-def observation_to_dict(obs: Observation) -> dict:
-    if obs.kind == "assignment":
-        return {
-            "kind": "assignment",
-            "indices": list(obs.indices),
-            "values": list(obs.values),
-            "s": float(obs.s),
-        }
-    return {"kind": "ranking", "items": list(obs.items), "s": float(obs.s)}
-
-
-def plan_to_json(plan: ExperimentPlan) -> str:
-    steps = []
-    for step in plan.steps:
-        if isinstance(step, DiffusionStep):
-            steps.append({"type": "diffusion", "p": step.p, "d": step.d})
-        else:
-            steps.append(
-                {"type": "conditioning", "observation": observation_to_dict(step)}
-            )
-    if isinstance(plan.initial, EmpiricalInitial):
-        initial = {
-            "kind": "empirical",
-            "dataset": [
-                {"one_line": list(one_line), "count": count}
-                for one_line, count in plan.initial.entries
-            ],
-        }
-    else:
-        initial = "identity"
-    doc = {
-        "n": plan.n,
-        "encoding": plan.encoding,
-        "seed": plan.seed,
-        "initial": initial,
-        "steps": steps,
-    }
-    if plan.sharpening is not None:
-        doc["sharpening"] = plan.sharpening
-    if plan.amplitude_empirical_ok:
-        doc["amplitude_empirical_ok"] = True
     return _write_json(doc) + "\n"
 
 

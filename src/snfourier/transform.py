@@ -34,7 +34,7 @@ NORMALIZATIONS = ("plain", "unitary")
 
 
 def function_degree(values) -> int:
-    """Degree n with n! == len(values); rejects non-factorial lengths."""
+    """Degree n with n! == len(values); rejects non-factorial lengths and guarded n."""
     size = len(values)
     n, fact = 1, 1
     while fact < size:
@@ -42,7 +42,7 @@ def function_degree(values) -> int:
         fact *= n
     if fact != size:
         raise ValueError(f"length {size} is not a factorial")
-    return n
+    return check_degree(n)
 
 
 @dataclass(frozen=True, eq=False)

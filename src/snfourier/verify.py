@@ -1,13 +1,14 @@
 """Self-check battery behind the verify subcommand.
 
 Each check re-derives one contract of the library from scratch and reports
-PASS/FAIL with a one-line detail. The battery is deterministic for a given
-seed; n_max controls how far the exhaustive and randomized sweeps go.
+PASS/FAIL, its seconds and a one-line detail. The verdicts are deterministic
+for a given seed; n_max sets how far the exhaustive and randomized sweeps go.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -47,6 +48,7 @@ class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
+    seconds: float = 0.0  # the check's wall time, set by run_battery
 
 
 def _random_probability(rng, size):
@@ -311,13 +313,18 @@ def run_battery(n_max: int, seed: int = 0, guard: int | None = None) -> list[Che
     if n_max < 2:
         raise ValueError("the battery needs n_max >= 2")
     rng = np.random.default_rng(seed)
-    return [check(n_max, rng) for check in _CHECKS]
+    results = []
+    for check in _CHECKS:
+        start = time.perf_counter()
+        results.append(check(n_max, rng)._replace(seconds=time.perf_counter() - start))
+    return results
 
 
 def format_table(results) -> str:
     width = max(len(result.name) for result in results)
     lines = [
-        f"{result.name:<{width}}  {'PASS' if result.passed else 'FAIL'}  {result.detail}"
+        f"{result.name:<{width}}  {'PASS' if result.passed else 'FAIL'}"
+        f"  {result.seconds:6.2f} s  {result.detail}"
         for result in results
     ]
     passed = sum(result.passed for result in results)

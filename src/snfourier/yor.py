@@ -83,20 +83,6 @@ def _generator_data(lam: Partition):
     return diag, offd, partner
 
 
-def yor_generator(lam: Partition, k: int) -> np.ndarray:
-    """Matrix of the adjacent transposition tau_k in the lam irreducible."""
-    n = lam.weight
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must be in 1..{n - 1}, got {k}")
-    diag, offd, partner = _generator_data(lam)
-    d = diag.shape[1]
-    mat = np.zeros((d, d))
-    rows = np.arange(d)
-    mat[rows, rows] = diag[k - 1]
-    mat[rows, partner[k - 1]] += offd[k - 1]
-    return mat
-
-
 def irrep_of(lam: Partition, perm: Permutation) -> np.ndarray:
     """Representation matrix of perm, built from its adjacent factorization."""
     if perm.n != lam.weight:

@@ -3,7 +3,8 @@
 Everything in here is deliberately naive: direct definitions, explicit loops,
 no shared code with the library's fast paths. Tests compare library output
 against these. The dense Fourier routes read the library's irrep stacks, the
-O((n!)^2) construction that the coset-recursion transform replaces.
+O((n!)^2) construction that the coset-recursion transform replaces, and
+yor_generator reads the library's generator data, so its tests pin that data.
 """
 
 import itertools
@@ -16,7 +17,7 @@ import numpy as np
 from snfourier.errors import check_degree
 from snfourier.partitions import enumerate_partitions, irrep_dimension
 from snfourier.transform import FourierSpectrum, function_degree
-from snfourier.yor import irrep_stack
+from snfourier.yor import _generator_data, irrep_stack
 
 
 def all_perms_lex(n):
@@ -74,6 +75,16 @@ def cycle_type(one_line):
     return tuple(sorted(lengths, reverse=True))
 
 
+def consistency_predicate(obs, sigma):
+    """True when sigma satisfies every constraint of the observation."""
+    obs.check_degree(sigma.n)
+    line = sigma.one_line
+    if obs.kind == "assignment":
+        return all(line[i - 1] == j for i, j in zip(obs.indices, obs.values))
+    positions = [line[i - 1] for i in obs.items]
+    return all(a < b for a, b in zip(positions, positions[1:]))
+
+
 @lru_cache(maxsize=None)
 def syt_count(parts):
     """Number of standard Young tableaux, by the remove-a-corner recursion."""
@@ -87,6 +98,20 @@ def syt_count(parts):
             shorter = parts[:i] + (row - 1,) + parts[i + 1:]
             total += syt_count(tuple(p for p in shorter if p > 0))
     return total
+
+
+def yor_generator(lam, k):
+    """Matrix of the adjacent transposition tau_k in the lam irreducible."""
+    n = lam.weight
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"k must be in 1..{n - 1}, got {k}")
+    diag, offd, partner = _generator_data(lam)
+    d = diag.shape[1]
+    mat = np.zeros((d, d))
+    rows = np.arange(d)
+    mat[rows, rows] = diag[k - 1]
+    mat[rows, partner[k - 1]] += offd[k - 1]
+    return mat
 
 
 def naive_gft_block(h, matrices):

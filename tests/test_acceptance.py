@@ -83,16 +83,9 @@ def _random_observation(rng, n):
     )
 
 
-def _consistent(obs, one_line):
-    if obs.kind == "assignment":
-        return all(one_line[i - 1] == v for i, v in zip(obs.indices, obs.values))
-    positions = [one_line[item - 1] for item in obs.items]
-    return all(a < b for a, b in zip(positions, positions[1:]))
-
-
 def _likelihood_vector(obs, n):
     return np.array([
-        obs.s if _consistent(obs, tuple(int(v) for v in row)) else 1.0 - obs.s
+        obs.s if oracles.consistency_predicate(obs, Permutation(row)) else 1.0 - obs.s
         for row in all_one_lines(n)
     ])
 

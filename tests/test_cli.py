@@ -18,7 +18,7 @@ from snfourier import cli
 from snfourier.cli import main
 from snfourier.partitions import irrep_dimension
 from snfourier.pipeline import ModelState, run_plan
-from snfourier.serialize import function_to_csv, plan_from_json, spectrum_from_json
+from snfourier.serialize import function_to_csv, plan_from_json
 from snfourier.transform import gft_forward
 
 PLAN_N3 = """
@@ -180,6 +180,26 @@ def test_plan_whose_success_product_underflows_exits_0(tmp_path, rounds,
     assert fixed["note"].endswith(suffix) == p_total_is_zero
 
 
+@pytest.mark.parametrize("plan", [
+    {"n": 2, "steps": [{"type": "diffusion", "p": 0}]},
+    {"n": 4, "steps": [{"type": "diffusion", "p": 1}]},
+    {"n": 5, "encoding": "amplitude", "amplitude_empirical_ok": True,
+     "initial": {"kind": "empirical", "dataset": [
+         {"one_line": [1, 3, 4, 5, 2], "count": 4}, {"one_line": [1, 2, 4, 3, 5], "count": 3}]},
+     "steps": [{"type": "conditioning", "observation": {
+         "kind": "assignment", "indices": [1], "values": [1], "s": 1}}]},
+], ids=["n=2,p=0", "n=4,p=1", "n=5,prior-consistent"])
+def test_plan_whose_success_product_rounds_above_1_exits_0(tmp_path, plan):
+    # each step keeps the whole norm, and the rounded product reads 1 + 2**-52
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    assert run_cli("run", "--plan", str(tmp_path / "plan.json"),
+                   "--out", str(tmp_path / "run")) == 0
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert report["p_total"] > 1
+    grover, fixed = report["amplification"].values()
+    assert (grover["units"], grover["expected_repeats"], fixed["units"]) == (1, 1, 8)
+
+
 def _steps(d):
     return [{"type": "diffusion", "p": "1/3", "d": d}]
 
@@ -224,6 +244,11 @@ PLAN_N8 = {"n": 8, "seed": 8, "steps": [
          "observation": {"kind": "ranking", "items": items, "s": 0.8}})]}
 
 
+def _spectrum_energy(text):
+    """Sum of the squared entries of every block of a spectrum.json text."""
+    return sum(float(np.sum(np.square(rows))) for rows in json.loads(text)["blocks"].values())
+
+
 def test_fourier_commands_run_at_n8_within_1_gib(tmp_path):
     (tmp_path / "plan.json").write_text(json.dumps(PLAN_N8))
     rng = np.random.default_rng(8)
@@ -243,7 +268,7 @@ def test_fourier_commands_run_at_n8_within_1_gib(tmp_path):
         assert sorted(p.name for p in (tmp_path / command).iterdir()) == files
         if "spectrum.json" in files:
             text = (tmp_path / command / "spectrum.json").read_text()
-            assert spectrum_from_json(text).total_energy() == pytest.approx(1.0, abs=1e-12)
+            assert _spectrum_energy(text) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_run_at_n9_within_1_gib(tmp_path):
@@ -253,7 +278,7 @@ def test_run_at_n9_within_1_gib(tmp_path):
     with open(tmp_path / "out" / "posterior.csv") as fh:
         assert sum(1 for _ in fh) == math.factorial(9) + 1
     text = (tmp_path / "out" / "spectrum.json").read_text()
-    assert spectrum_from_json(text).total_energy() == pytest.approx(1.0, abs=1e-12)
+    assert _spectrum_energy(text) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sample_at_n9_within_1_gib(tmp_path):

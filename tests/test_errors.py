@@ -1,4 +1,5 @@
-"""The shared state rules: the unit-norm entry check and post-selection."""
+"""The shared state rules: the unit-norm entry check, post-selection and the
+degree guard."""
 
 import math
 
@@ -8,9 +9,11 @@ import pytest
 import oracles
 from snfourier.conditioning import Observation, bayes_update, reorder_update_condition
 from snfourier.diffusion import DiffusionStep, apply_diffusion_spectral
-from snfourier.errors import AnnihilatedStateError
+from snfourier.errors import AnnihilatedStateError, DegreeGuardError
+from snfourier.perms import Permutation
 from snfourier.pipeline import ModelState, sharpen_map, state_prep_unitary
-from snfourier.transform import gft_forward
+from snfourier.serialize import function_to_csv
+from snfourier.transform import function_degree, gft_forward, left_shift
 
 N = 3
 RANKING = Observation(kind="ranking", items=(1, 3), s=0.8)
@@ -37,6 +40,34 @@ def test_entry_points_share_the_unit_norm_tolerance(enter):
     enter(state_with_norm_sq(1.0 + 1e-10))
     with pytest.raises(ValueError):
         enter(state_with_norm_sq(1.0 + 1e-6))
+
+
+@pytest.mark.parametrize("enter", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+def test_entry_points_reject_a_nan_state(enter):
+    psi = state_with_norm_sq(1.0)
+    psi[1] = math.nan
+    with pytest.raises(ValueError):
+        enter(psi)
+
+
+# every entry point that takes an n!-long array reads its degree through
+# function_degree, which applies the guard before any n!-sized table is built;
+# test_serialize checks posterior_to_csv
+GUARDED = {
+    "function_degree": function_degree,
+    "gft_forward": lambda h: gft_forward(h, "unitary"),
+    "left_shift": lambda h: left_shift(Permutation(range(1, 11)), h),
+    "bayes_update": lambda h: bayes_update(h, RANKING),
+    "ModelState": lambda h: ModelState(amplitudes=h, encoding="amplitude"),
+    "function_to_csv": function_to_csv,
+}
+
+
+@pytest.mark.parametrize("enter", GUARDED.values(), ids=GUARDED.keys())
+def test_entry_points_guard_the_degree(enter):
+    size = math.factorial(10)
+    with pytest.raises(DegreeGuardError):
+        enter(np.full(size, 1.0 / math.sqrt(size)))
 
 
 def _reversal():

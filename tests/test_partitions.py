@@ -19,7 +19,6 @@ from snfourier.partitions import (
     enumerate_partitions,
     irrep_dimension,
     kronecker_multiplicity,
-    partition_count_asymptotic,
     transposition_character_ratio,
 )
 
@@ -112,16 +111,9 @@ def test_diffusion_eigenvalue():
                 assert abs(diffusion_eigenvalue(lam, p)) <= 1 + 1e-15
 
 
-def test_partition_count_asymptotic():
+def test_partition_count_frozen():
     assert len(enumerate_partitions(10)) == 42
     assert oracles.partition_count(1) == len(enumerate_partitions(1)) == 1
-    ratios = [
-        oracles.partition_count(n) / partition_count_asymptotic(n)
-        for n in range(10, 61, 10)
-    ]
-    assert all(r < 1 for r in ratios)
-    assert ratios == sorted(ratios)  # approaches 1 from below
-    assert ratios[-1] > 0.9
 
 
 def test_conjugacy_classes():

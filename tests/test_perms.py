@@ -23,7 +23,6 @@ from snfourier.perms import (
     lehmer_rank,
     lehmer_unrank,
     ranks_after_sequence,
-    register_qubits,
     reorder_sequence,
 )
 
@@ -219,13 +218,6 @@ def test_reorder_replay_matches_composition_and_restores():
         assert np.array_equal(restored, np.arange(120))
         assert np.array_equal(np.sort(moved), np.arange(120))
     assert digits.shape == (120, 5)
-
-
-def test_register_qubits():
-    assert register_qubits(1) == 0
-    assert register_qubits(3) == 3
-    for n in range(2, 12):
-        assert register_qubits(n) == sum(math.ceil(math.log2(k)) for k in range(2, n + 1))
 
 
 def test_batch_tables_match_lex_enumeration():

@@ -552,6 +552,15 @@ def test_sharpen_top_k_alignment():
     assert set(np.argsort(sharp_probs)[-k:]) == set(np.argsort(h)[-k:])
 
 
+@pytest.mark.parametrize("m", [3, 100, 2**53 + 1, 2**64])
+def test_sharpen_clips_an_amplitude_rounded_past_1(m):
+    amps = np.zeros(2)
+    amps[1] = -np.nextafter(1.0, 2.0)
+    out, ps = sharpen_map(ModelState(amplitudes=amps, encoding="amplitude"), m)
+    assert ps == 1.0
+    assert np.array_equal(out.amplitudes, [0.0, -1.0 if m % 2 else 1.0])
+
+
 def test_sharpen_underflow_annihilates():
     state = ModelState(amplitudes=np.full(6, 1.0 / math.sqrt(6.0)),
                        encoding="born")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -31,13 +31,11 @@ from snfourier.serialize import (
     function_from_csv,
     function_to_csv,
     ledger_to_jsonl,
-    observation_to_dict,
+    partition_key,
     plan_from_json,
-    plan_to_json,
     posterior_to_csv,
     report_to_json,
     samples_to_csv,
-    spectrum_from_json,
     spectrum_to_json,
 )
 from snfourier.partitions import Partition
@@ -78,11 +76,12 @@ def test_spectrum_json_round_trip_is_exact():
         h = RNG.standard_normal(math.factorial(n))
         for normalization in ("plain", "unitary"):
             spec = gft_forward(h, normalization)
-            back = spectrum_from_json(spectrum_to_json(spec))
-            assert back.n == n
-            assert back.normalization == normalization
-            for lam, block in spec.blocks.items():
-                assert np.array_equal(back.blocks[lam], block)
+            doc = json.loads(spectrum_to_json(spec))
+            assert doc["normalization"] == normalization
+            lams = enumerate_partitions(n)
+            assert list(doc["blocks"]) == [partition_key(lam) for lam in lams]
+            for lam in lams:
+                assert np.array_equal(doc["blocks"][partition_key(lam)], spec.blocks[lam])
 
 
 def test_spectrum_json_prints_each_entry_with_format_float():
@@ -99,29 +98,6 @@ def test_spectrum_json_prints_each_entry_with_format_float():
         blocks[Partition((2, 1))][1, 0] = bad
         with pytest.raises(ValueError, match=f"non-finite value {bad!r}"):
             spectrum_to_json(FourierSpectrum(3, "plain", blocks))
-
-
-def test_spectrum_json_validation():
-    text = spectrum_to_json(gft_forward(oracles.random_unit(RNG, 6), "plain"))
-    doc = json.loads(text)
-    doc["normalization"] = "banana"
-    with pytest.raises(ValueError):
-        spectrum_from_json(json.dumps(doc))
-    doc = json.loads(text)
-    del doc["blocks"]["[2,1]"]
-    with pytest.raises(ValueError):
-        spectrum_from_json(json.dumps(doc))
-    with pytest.raises(ValueError):
-        spectrum_from_json("[1,2,3]")
-
-
-def test_spectrum_json_rejects_non_integer_partition_keys():
-    text = spectrum_to_json(gft_forward(oracles.random_unit(RNG, 6), "plain"))
-    for key in ("[1.7]", "[true]", "1"):
-        doc = json.loads(text)
-        doc["blocks"][key] = doc["blocks"].pop("[3]")
-        with pytest.raises(ValueError, match="bad partition key"):
-            spectrum_from_json(json.dumps(doc))
 
 
 def test_function_csv_round_trip():
@@ -380,15 +356,6 @@ def test_report_json_null_bound():
     assert "inapplicable" in doc["lower_bound_note"]
 
 
-def test_observation_dict_forms():
-    obs = Observation(kind="assignment", indices=(1, 4), values=(2, 3), s=1.0)
-    doc = {"kind": "assignment", "indices": [1, 4], "values": [2, 3], "s": 1.0}
-    assert observation_to_dict(obs) == doc
-
-    obs = Observation(kind="ranking", items=(2, 5, 1), s=0.9)
-    assert observation_to_dict(obs) == {"kind": "ranking", "items": [2, 5, 1], "s": 0.9}
-
-
 def test_plan_json_round_trip():
     plan = ExperimentPlan(
         n=4,
@@ -402,7 +369,19 @@ def test_plan_json_round_trip():
         seed=99,
         sharpening=3,
     )
-    assert plan_from_json(plan_to_json(plan)) == plan
+    read = plan_from_json("""{
+      "n": 4, "encoding": "born", "seed": 99, "sharpening": 3,
+      "initial": {"kind": "empirical", "dataset": [
+        {"one_line": [2, 1, 3, 4], "count": 2}, {"one_line": [1, 2, 3, 4], "count": 1}]},
+      "steps": [
+        {"type": "diffusion", "p": 0.6, "d": 2},
+        {"type": "conditioning",
+         "observation": {"kind": "ranking", "items": [2, 3], "s": 0.8}},
+        {"type": "conditioning", "observation":
+         {"kind": "assignment", "indices": [1, 4], "values": [2, 3], "s": 0.9}}
+      ]
+    }""")
+    assert read == plan
 
 
 def test_observation_steps_give_the_ledger_of_the_json_plan():
@@ -437,9 +416,6 @@ def test_plan_json_rational_p():
     plan = plan_from_json('{"n": 3, "steps": [{"type": "diffusion", "p": "1/3"}]}')
     step = plan.steps[0]
     assert isinstance(step.p, Fraction) and step.p == Fraction(1, 3)
-    text = plan_to_json(plan)
-    assert '"p": "1/3"' in text
-    assert plan_from_json(text) == plan
 
 
 def test_rational_p_keeps_bound_exact():
@@ -631,6 +607,9 @@ def test_plan_reader_raises_only_plan_errors(doc):
 
 @settings(max_examples=200, deadline=None)
 @given(doc=_plan_schema(st.nothing(), 0) | faulty_plans(ODD_VALUES + [2**64, 10**400]))
+# an amplitude rounded to 1 + 2**-52 once overflowed under this exponent
+@example(doc={"n": 2, "steps": [{"type": "diffusion", "p": 0}], "encoding": "amplitude",
+              "sharpening": 2**64})
 def test_run_exits_only_with_contract_codes(doc):
     with tempfile.TemporaryDirectory() as tmp:
         plan = Path(tmp) / "plan.json"

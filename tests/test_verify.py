@@ -1,5 +1,6 @@
 """The self-check battery passes at small degree and respects the guard."""
 
+import re
 import time
 
 import pytest
@@ -24,6 +25,8 @@ def test_battery_table_format():
     lines = table.strip().split("\n")
     assert len(lines) == 11
     assert all("PASS" in line for line in lines[:-1])
+    # each check's seconds stand between its verdict and its detail
+    assert all(re.search(r"  PASS +\d+\.\d\d s  \S", line) for line in lines[:-1])
     assert lines[-1] == "10/10 checks passed"
 
 
