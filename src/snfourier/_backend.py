@@ -51,6 +51,7 @@ def swap_sequence(n):
     return out
 
 
+# no library code calls this; perfbench/spans.py patches it by name
 @lru_cache(maxsize=None)
 def all_digits(n):
     """Lehmer digits of every rank 0..n!-1, row r = digits of rank r."""

@@ -240,12 +240,11 @@ def _amplification(p_total: float) -> dict:
 
     The exact product of success probabilities is positive, so a p_total of 0
     has underflowed: amplification_cost, which rejects 0, never sees it, and
-    no value exists. A subnormal p_total can overflow 1/p_total alone, and
-    one that rounds above 1 is taken as 1.
+    no value exists. A subnormal p_total can overflow 1/p_total alone.
     """
     costs = {}
     for mode, note in _AMPLIFICATION_NOTES.items():
-        cost = (amplification_cost(min(p_total, 1.0), mode) if p_total > 0.0
+        cost = (amplification_cost(p_total, mode) if p_total > 0.0
                 else AmplificationCost(mode, None, None, note))
         if cost.units is None or cost.expected_repeats == math.inf:
             note += _UNDERFLOW_NOTE + (" to 0" if p_total == 0.0 else "")
@@ -319,13 +318,13 @@ def run_plan(plan: ExperimentPlan) -> tuple[ModelState, RunReport]:
                 ).value
             ledger.append({
                 "step": number, "type": "diffusion", "p": step.p, "d": step.d,
-                "success_prob": p_s, "bound": bound_value,
+                "success_prob": min(p_s, 1.0), "bound": bound_value,
             })
         else:
             amps, p_s, cost = reorder_update_condition(amps, step, plan.encoding, lines)
             ledger.append({
                 "step": number, "type": "conditioning", "kind": step.kind,
-                "s": step.s, "success_prob": p_s, "bound": p_s,
+                "s": step.s, "success_prob": min(p_s, 1.0), "bound": min(p_s, 1.0),
                 # the relabeling swaps, then as many to uncompute them
                 "swaps": 2 * cost.swaps,
             })
@@ -335,7 +334,8 @@ def run_plan(plan: ExperimentPlan) -> tuple[ModelState, RunReport]:
     if plan.sharpening is not None:
         state, p_s = sharpen_map(state, plan.sharpening)
         ledger.append({"step": len(plan.steps) + 1, "type": "sharpen",
-                       "m": int(plan.sharpening), "success_prob": p_s, "bound": p_s})
+                       "m": int(plan.sharpening), "success_prob": min(p_s, 1.0),
+                       "bound": min(p_s, 1.0)})
 
     p_total = math.prod((entry["success_prob"] for entry in ledger), start=1.0)
     bounds = [entry["bound"] for entry in ledger]

@@ -26,7 +26,7 @@ from . import _backend
 from .errors import check_degree
 from .partitions import Partition, enumerate_partitions, irrep_dimension
 from .perms import Permutation, all_one_lines
-from .yor import _generator_data, corners
+from .yor import coset_slabs
 # no library code calls this; perfbench/spans.py patches it by name
 from .yor import irrep_stack
 
@@ -98,32 +98,6 @@ def delta_spectrum(n: int, normalization: str = "unitary") -> FourierSpectrum:
     return FourierSpectrum(n, normalization, blocks)
 
 
-def _coset_slabs(lam: Partition, previous: tuple[Partition, ...]):
-    """(mu index in previous, first column, last column, slab, its transpose)
-    per corner mu of lam.
-
-    With c_j = tau_{j+1}...tau_{k-1} (k = weight of lam), the slab is
-    [rho(c_0) ... rho(c_{k-1})] restricted to the columns of mu, whose block
-    of rho restricted to S_{k-1} sits there in last-letter order.
-    """
-    diag, offd, partner = _generator_data(lam)
-    reps = [np.eye(diag.shape[1])]  # rho(c_{k-1}) is the identity
-    for g in range(lam.weight - 2, -1, -1):
-        # rho(c_g) = rho(tau_{g+1}) rho(c_{g+1}), one sparse generator row
-        reps.append(diag[g][:, None] * reps[-1] + offd[g][:, None] * reps[-1][partner[g]])
-    reps.reverse()
-    out, lo = [], 0
-    for _, mu in corners(lam):
-        hi = lo + irrep_dimension(mu)
-        slab = np.hstack([rep[:, lo:hi] for rep in reps])
-        slab_t = np.ascontiguousarray(slab.T)
-        slab.setflags(write=False)
-        slab_t.setflags(write=False)
-        out.append((previous.index(mu), lo, hi, slab, slab_t))
-        lo = hi
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def _fft_plan(n: int):
     """Rank gather and per-level coset slabs of the degree-n FFT.
@@ -143,7 +117,7 @@ def _fft_plan(n: int):
     for k in range(2, n + 1):
         previous = enumerate_partitions(k - 1)
         levels.append((k, math.factorial(n) // math.factorial(k), tuple(
-            (irrep_dimension(lam), _coset_slabs(lam, previous))
+            (irrep_dimension(lam), coset_slabs(lam, previous))
             for lam in enumerate_partitions(k)
         )))
     return gather, tuple(levels)
@@ -255,8 +229,11 @@ def left_shift(tau: Permutation, h) -> np.ndarray:
     n = function_degree(values)
     if tau.n != n:
         raise ValueError("shift degree and function degree differ")
-    lines = all_one_lines(n)
-    shifted = np.asarray(tau.one_line, dtype=np.uint8)[lines - 1]
+    slots = all_one_lines(n).T  # slot-major: row i is slot i of every rank
+    lookup = np.asarray((0,) + tau.one_line, dtype=np.uint8)  # lookup[v] = tau(v)
+    shifted = np.empty_like(slots)
+    for i in range(n):
+        np.take(lookup, slots[i], out=shifted[i])
     out = np.empty_like(values)
-    out[_backend.encode_batch(shifted)] = values
+    out[_backend.encode_batch(shifted.T)] = values
     return out

@@ -4,7 +4,8 @@ Everything in here is deliberately naive: direct definitions, explicit loops,
 no shared code with the library's fast paths. Tests compare library output
 against these. The dense Fourier routes read the library's irrep stacks, the
 O((n!)^2) construction that the coset-recursion transform replaces, and
-yor_generator reads the library's generator data, so its tests pin that data.
+yor_generator reads the library's generator data, so its tests pin that data;
+generator_data_from_tableaux builds that data the naive way.
 """
 
 import itertools
@@ -17,7 +18,7 @@ import numpy as np
 from snfourier.errors import check_degree
 from snfourier.partitions import enumerate_partitions, irrep_dimension
 from snfourier.transform import FourierSpectrum, function_degree
-from snfourier.yor import _generator_data, irrep_stack
+from snfourier.yor import _generator_data, irrep_stack, standard_tableaux
 
 
 def all_perms_lex(n):
@@ -98,6 +99,35 @@ def syt_count(parts):
             shorter = parts[:i] + (row - 1,) + parts[i + 1:]
             total += syt_count(tuple(p for p in shorter if p > 0))
     return total
+
+
+def generator_data_from_tableaux(lam):
+    """_generator_data's (diag, offd, partner) by one pass over the tableaux.
+
+    Per tableau and k: the axial distance from the positions of k and k+1,
+    and the swapped tableau looked up by value.
+    """
+    tabs = standard_tableaux(lam)
+    index = {tab: t for t, tab in enumerate(tabs)}
+    d = len(tabs)
+    n = lam.weight
+    diag = np.zeros((n - 1, d) if n > 1 else (0, d))
+    offd = np.zeros_like(diag)
+    partner = np.tile(np.arange(d), (max(n - 1, 0), 1))
+    for t, tab in enumerate(tabs):
+        pos = {v: (i, j) for i, row in enumerate(tab) for j, v in enumerate(row)}
+        for k in range(1, n):
+            (r1, c1), (r2, c2) = pos[k], pos[k + 1]
+            dist = (c2 - c1) - (r2 - r1)
+            diag[k - 1, t] = 1.0 / dist
+            if abs(dist) > 1:
+                offd[k - 1, t] = math.sqrt(1.0 - 1.0 / dist**2)
+                swapped = tuple(
+                    tuple(k + 1 if v == k else k if v == k + 1 else v for v in row)
+                    for row in tab
+                )
+                partner[k - 1, t] = index[swapped]
+    return diag, offd, partner
 
 
 def yor_generator(lam, k):

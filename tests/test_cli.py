@@ -190,12 +190,15 @@ def test_plan_whose_success_product_underflows_exits_0(tmp_path, rounds,
          "kind": "assignment", "indices": [1], "values": [1], "s": 1}}]},
 ], ids=["n=2,p=0", "n=4,p=1", "n=5,prior-consistent"])
 def test_plan_whose_success_product_rounds_above_1_exits_0(tmp_path, plan):
-    # each step keeps the whole norm, and the rounded product reads 1 + 2**-52
+    # each step keeps the whole norm, and its rounded sum of squares reads
+    # 1 + 2**-52; the ledger and p_total print it as 1
     (tmp_path / "plan.json").write_text(json.dumps(plan))
     assert run_cli("run", "--plan", str(tmp_path / "plan.json"),
                    "--out", str(tmp_path / "run")) == 0
     report = json.loads((tmp_path / "run" / "report.json").read_text())
-    assert report["p_total"] > 1
+    assert report["p_total"] == 1.0
+    ledger = (tmp_path / "run" / "ledger.jsonl").read_text().splitlines()
+    assert [json.loads(line)["success_prob"] for line in ledger] == [1.0]
     grover, fixed = report["amplification"].values()
     assert (grover["units"], grover["expected_repeats"], fixed["units"]) == (1, 1, 8)
 

@@ -10,7 +10,8 @@ from snfourier.partitions import Partition, enumerate_partitions, irrep_dimensio
     transposition_character_ratio
 from snfourier.perms import Permutation, adjacent_transposition, compose, identity, \
     inverse
-from snfourier.yor import irrep_of, irrep_stack, standard_tableaux
+from snfourier.yor import _generator_data, apply_generator, corner_blocks, irrep_of, \
+    irrep_stack, standard_tableaux
 
 RNG = np.random.default_rng(2024)
 
@@ -48,6 +49,42 @@ def test_tableaux_last_letter_order():
                 row = next(i for i, r in enumerate(tab) if n in r)
                 rows_of_n.append(row)
             assert rows_of_n == sorted(rows_of_n, reverse=True)
+
+
+def test_corner_blocks_hold_the_tableaux_of_mu():
+    # span lo:hi of a corner's row lists the tableaux with n in that row,
+    # which read mu's own tableaux once n is removed
+    for n in range(2, 8):
+        for lam in enumerate_partitions(n):
+            tabs = standard_tableaux(lam)
+            end = 0
+            for row, (mu, lo, hi) in corner_blocks(lam).items():
+                assert lo == end
+                end = hi
+                assert all(n in tab[row] for tab in tabs[lo:hi])
+                trimmed = tuple(tuple(r for r in (tuple(v for v in r if v != n) for r in tab)
+                                      if r) for tab in tabs[lo:hi])
+                assert trimmed == standard_tableaux(mu)
+            assert end == len(tabs)
+
+
+def test_generator_data_equals_tableau_oracle():
+    for n in range(1, 10):
+        for lam in enumerate_partitions(n):
+            for got, expected in zip(_generator_data(lam),
+                                     oracles.generator_data_from_tableaux(lam)):
+                assert got.dtype == expected.dtype and got.shape == expected.shape
+                assert np.array_equal(got, expected)
+
+
+def test_apply_generator_equals_dense_generator_on_a_batch():
+    for n in range(2, 7):
+        for lam in enumerate_partitions(n):
+            mats = RNG.standard_normal((4, irrep_dimension(lam), 3))
+            for k in range(1, n):
+                expected = oracles.yor_generator(lam, k) @ mats
+                assert np.allclose(apply_generator(lam, k - 1, mats), expected,
+                                   rtol=0, atol=1e-14)
 
 
 def test_generator_frozen_matrices():
