@@ -1,5 +1,6 @@
-"""Hot kernels in numpy: batch ranking of one-line forms, plus the cached
-rank-order tables that every permutation index in the library comes from.
+"""Hot kernel in numpy: batch ranking of one-line forms with its cached
+factorial weights. The other cached tables here are read by no library code;
+perfbench/spans.py patches them by name.
 """
 
 import importlib.util
@@ -64,25 +65,15 @@ def all_digits(n):
     return out
 
 
+# no library code calls this; perfbench/spans.py patches it by name
 @lru_cache(maxsize=None)
 def all_perms0(n):
-    """One-line forms (0-based values) of all ranks, rank order = lex order.
+    """perms.all_one_lines(n) with 0-based values, laid out the same way."""
+    from .perms import all_one_lines  # perms imports this module
 
-    Indexed [rank, slot]: the table is stored slot-major and returned
-    transposed, so each slot's column is one contiguous run of n! bytes.
-    The ranks of S_k with first value j are j followed by the ranks of
-    S_{k-1} with the values >= j moved up by one, which keeps them in lex
-    order.
-    """
-    out = np.zeros((0, 1), dtype=np.uint8)
-    for k in range(1, n + 1):
-        prev, out = out, np.empty((k, k * out.shape[1]), dtype=np.uint8)
-        for j in range(k):
-            block = out[:, j * prev.shape[1]:(j + 1) * prev.shape[1]]
-            block[0] = j
-            block[1:] = prev + (prev >= j)
+    out = all_one_lines(n) - 1
     out.flags.writeable = False
-    return out.T
+    return out
 
 
 # no library code calls this; perfbench/spans.py patches it by name

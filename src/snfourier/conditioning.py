@@ -184,5 +184,5 @@ def reorder_update_condition(
     posterior, p_s = _conditioned(values, lines, obs, encoding)
     window = "front" if obs.kind == "assignment" else "back"
     touched = () if obs.is_empty else obs.touched()
-    _, seq = reorder_sequence(lines.shape[1], touched, f"to_{window}")
+    seq = reorder_sequence(lines.shape[1], touched, f"to_{window}")
     return posterior, p_s, CostReport(window, len(seq))

@@ -44,12 +44,6 @@ class Partition:
         cols = [sum(1 for p in self.parts if p > c) for c in range(self.parts[0])]
         return Partition(tuple(cols))
 
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
 
 @lru_cache(maxsize=None)
 def enumerate_partitions(n: int) -> tuple[Partition, ...]:

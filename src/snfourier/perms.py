@@ -37,9 +37,6 @@ class Permutation:
     def n(self) -> int:
         return len(self.one_line)
 
-    def __call__(self, i: int) -> int:
-        return self.one_line[i - 1]
-
 
 @dataclass(frozen=True)
 class LehmerCode:
@@ -60,22 +57,11 @@ class LehmerCode:
         return len(self.digits)
 
 
-def identity(n: int) -> Permutation:
-    return Permutation(tuple(range(1, n + 1)))
-
-
 def compose(a: Permutation, b: Permutation) -> Permutation:
     """(a . b)(i) = a(b(i)); b acts first."""
     if a.n != b.n:
         raise ValueError("degree mismatch")
     return Permutation(tuple(a.one_line[v - 1] for v in b.one_line))
-
-
-def inverse(p: Permutation) -> Permutation:
-    inv = [0] * p.n
-    for i, v in enumerate(p.one_line):
-        inv[v - 1] = i + 1
-    return Permutation(tuple(inv))
 
 
 def adjacent_transposition(n: int, k: int) -> Permutation:
@@ -135,15 +121,13 @@ def adjacent_update(code: LehmerCode, k: int) -> LehmerCode:
     return LehmerCode(code.digits[: k - 1] + pair + code.digits[k + 1 :])
 
 
-def reorder_sequence(
-    n: int, indices: tuple[int, ...], mode: str
-) -> tuple[Permutation, tuple[int, ...]]:
+def reorder_sequence(n: int, indices: tuple[int, ...], mode: str) -> tuple[int, ...]:
     """Adjacent-swap plan moving the given slots to the front or the back.
 
-    Returns (pi, seq). Right-composing sigma with the tau_k of seq, in order,
+    Right-composing sigma with the tau_k of the returned sequence, in order,
     yields sigma . pi, whose leading (mode="to_front") or trailing
     (mode="to_back") slots read the chosen indices in ascending order; slots
-    already in place cost nothing, and len(seq) <= k*n overall.
+    already in place cost nothing, and its length is at most k*n.
     """
     idx = sorted(int(i) for i in indices)
     if len(set(idx)) != len(idx):
@@ -160,21 +144,27 @@ def reorder_sequence(
             seq.extend(range(idx[slot - 1], n - k + slot))
     else:
         raise ValueError(f"mode must be to_front|to_back, got {mode!r}")
-    ol = list(range(1, n + 1))
-    for s in seq:
-        ol[s - 1], ol[s] = ol[s], ol[s - 1]
-    return Permutation(tuple(ol)), tuple(seq)
+    return tuple(seq)
 
 
 @lru_cache(maxsize=None)
 def all_one_lines(n: int) -> np.ndarray:
     """(n!, n) uint8 array of 1-based one-line forms, row r = permutation of rank r.
 
-    Laid out like _backend.all_perms0: each slot's column is contiguous.
+    Read-only and stored slot-major: the array is the transpose of an (n, n!)
+    one, so each slot's column is one contiguous run of n! bytes. The ranks
+    of S_k with first value j are j followed by the ranks of S_{k-1} with the
+    values >= j moved up by one, which keeps them in lex order.
     """
-    out = _backend.all_perms0(n) + 1
+    out = np.zeros((0, 1), dtype=np.uint8)
+    for k in range(1, n + 1):
+        prev, out = out, np.empty((k, k * out.shape[1]), dtype=np.uint8)
+        for j in range(1, k + 1):
+            block = out[:, (j - 1) * prev.shape[1]:j * prev.shape[1]]
+            block[0] = j
+            block[1:] = prev + (prev >= j)
     out.flags.writeable = False
-    return out
+    return out.T
 
 
 def ranks_after_sequence(n: int, seq: tuple[int, ...]) -> np.ndarray:
@@ -183,4 +173,4 @@ def ranks_after_sequence(n: int, seq: tuple[int, ...]) -> np.ndarray:
     for k in seq:
         slots[k - 1], slots[k] = slots[k], slots[k - 1]
     # slot m of sigma . pi holds sigma(pi(m))
-    return _backend.encode_batch(_backend.all_perms0(n)[:, slots])
+    return _backend.encode_batch(all_one_lines(n)[:, slots])

@@ -251,20 +251,17 @@ def _float_rows(values) -> np.ndarray:
     return out.view(np.uint8)
 
 
-def _ranked_rows(header: str, one_lines=None, values=None) -> str:
+def _ranked_rows(header: str, one_lines, values=None) -> str:
     r"""header, then the line "{r},{one_lines[r]},{values[r]}\n" for each rank r.
 
-    Either field may be absent. One-line entries are single digits (n <= 9),
+    The values may be absent. One-line entries are single digits (n <= 9),
     printed space-separated. Rows are built at most _CHUNK at a time as
     fixed-width byte rows: the rank's leading zeros and the float's padding
     are NUL, and one translate per chunk drops them.
     """
-    count = len(values if one_lines is None else one_lines)
-    n = 0 if one_lines is None else one_lines.shape[1]
+    count, n = one_lines.shape
     groups = -(-len(str(max(count - 1, 0))) // 4)  # 4-digit groups of a rank
-    fields = [b"\0" * 4 * groups]
-    if n:
-        fields.append(b" ".join([b"\0"] * n))
+    fields = [b"\0" * 4 * groups, b" ".join([b"\0"] * n)]
     if values is not None:
         fields.append(b"\0" * _FLOAT_WIDTH)
     template = np.frombuffer(b",".join(fields) + b"\n", dtype=np.uint8)
@@ -290,8 +287,7 @@ def _ranked_rows(header: str, one_lines=None, values=None) -> str:
         rows[:, :4 * groups] = words.view(np.uint8)
         if lo == 0:
             rows[0, 4 * groups - 1] = ord("0")
-        if n:
-            rows[:, cells:cells + 2 * n:2] = one_lines[lo:hi] + ord("0")
+        rows[:, cells:cells + 2 * n:2] = one_lines[lo:hi] + ord("0")
         if printed is not None:
             rows[:, floats:-1] = printed
             del printed
@@ -354,12 +350,6 @@ def spectrum_to_json(spectrum: FourierSpectrum) -> str:
     del floats, entries, text  # before the parts are joined
     parts.append("}}\n")
     return "".join(parts)
-
-
-def function_to_csv(values) -> str:
-    arr = np.asarray(values, dtype=np.float64)
-    function_degree(arr)
-    return _ranked_rows("rank,value\n", values=arr)
 
 
 def function_from_csv(text: str) -> np.ndarray:

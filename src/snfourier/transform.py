@@ -75,10 +75,11 @@ class FourierSpectrum:
         """Weak Fourier sampling: Pr(lam) = block energy / total energy."""
         if self.normalization != "unitary":
             raise ValueError("the sampling distribution needs a unitary spectrum")
-        total = self.total_energy()
+        energies = self.energies()
+        total = sum(energies.values())
         if total <= 0:
             raise ValueError("the zero function has no sampling distribution")
-        return {lam: energy / total for lam, energy in self.energies().items()}
+        return {lam: energy / total for lam, energy in energies.items()}
 
 
 def delta_spectrum(n: int, normalization: str = "unitary") -> FourierSpectrum:
@@ -109,7 +110,7 @@ def _fft_plan(n: int):
     Level k = 2..n holds the count n!/k! of S_k cosets and, per partition
     lam of k in canonical order, its dimension and slabs.
     """
-    position = _backend.encode_batch(_backend.all_perms0(n)[:, ::-1])
+    position = _backend.encode_batch(all_one_lines(n)[:, ::-1])
     gather = np.empty_like(position)
     gather[position] = np.arange(len(position))
     gather.setflags(write=False)
@@ -199,7 +200,7 @@ def convolve(q, h) -> np.ndarray:
         raise ValueError("convolution operands must share the same degree")
     out = np.zeros(len(qv))
     for g in np.flatnonzero(qv):
-        out += qv[g] * left_shift(Permutation(_backend.all_perms0(n)[g] + 1), hv)
+        out += qv[g] * left_shift(Permutation(all_one_lines(n)[g]), hv)
     return out
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from snfourier.errors import check_degree
 from snfourier.partitions import enumerate_partitions, irrep_dimension
+from snfourier.perms import Permutation
 from snfourier.transform import FourierSpectrum, function_degree
 from snfourier.yor import _generator_data, irrep_stack, standard_tableaux
 
@@ -53,10 +54,20 @@ def compose_oracle(a, b):
 
 
 def inverse_oracle(a):
+    """Inverse of a one-line form, as a tuple of 1-based values."""
     inv = [0] * len(a)
     for i, v in enumerate(a):
         inv[v - 1] = i + 1
     return tuple(inv)
+
+
+def replay_swaps(n, seq):
+    """The Permutation pi that a swap sequence applies: the identity's one-line
+    form with slots k and k+1 swapped for each k of seq, in order."""
+    line = list(range(1, n + 1))
+    for k in seq:
+        line[k - 1], line[k] = line[k], line[k - 1]
+    return Permutation(tuple(line))
 
 
 def cycle_type(one_line):
@@ -208,6 +219,14 @@ def posterior_csv_rows(posterior):
     lines = ["rank,one_line,probability"]
     for rank, (row, value) in enumerate(zip(all_perms_lex(function_degree(values)), values)):
         lines.append(f"{rank},{' '.join(map(str, row))},{value:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def function_csv_rows(values):
+    """A rank,value CSV of a function, built one f-string per row."""
+    lines = ["rank,value"]
+    for rank, value in enumerate(np.asarray(values, dtype=np.float64).tolist()):
+        lines.append(f"{rank},{value:.17g}")
     return "\n".join(lines) + "\n"
 
 

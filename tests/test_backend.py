@@ -8,8 +8,8 @@ import pytest
 import oracles
 from snfourier import _backend
 from snfourier.partitions import enumerate_partitions
-from snfourier.perms import Permutation, ranks_after_sequence
-from snfourier.transform import convolve
+from snfourier.perms import Permutation, all_one_lines, ranks_after_sequence
+from snfourier.transform import _fft_plan, convolve
 from snfourier.yor import irrep_of, irrep_stack
 
 RNG = np.random.default_rng(41)
@@ -94,6 +94,25 @@ def test_all_perms0_matches_lex_order():
         assert not table.flags.writeable
         # stored slot-major: each slot's column is one contiguous run
         assert all(table[:, slot].flags.c_contiguous for slot in range(n))
+
+
+def test_production_builds_one_permutation_table():
+    # the FFT plan ranks the 1-based table; the 0-based one is derived on demand
+    for cached in (all_one_lines, _backend.all_perms0, _fft_plan):
+        cached.cache_clear()
+    all_one_lines(6)
+    _fft_plan(6)
+    assert _backend.all_perms0.cache_info().misses == 0
+
+
+def test_all_one_lines_is_all_perms0_plus_one():
+    for n in range(1, 10):
+        one_lines, perms0 = all_one_lines(n), _backend.all_perms0(n)
+        assert np.array_equal(one_lines, perms0 + 1)
+        for table in (one_lines, perms0):
+            assert table.dtype == np.uint8
+            assert not table.flags.writeable
+            assert table.T.flags.c_contiguous
 
 
 def test_all_inverses0_are_inverses():

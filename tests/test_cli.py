@@ -13,12 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 import snfourier
 from snfourier import cli
 from snfourier.cli import main
 from snfourier.partitions import irrep_dimension
 from snfourier.pipeline import ModelState, run_plan
-from snfourier.serialize import function_to_csv, plan_from_json
+from snfourier.serialize import plan_from_json
 from snfourier.transform import gft_forward
 
 PLAN_N3 = """
@@ -148,6 +149,18 @@ def test_run_annihilated_state(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_run_annihilated_by_sharpening_exits_4(tmp_path, capsys):
+    # every amplitude left by the walk is below 1, so its 1000th power, and
+    # the sharpened norm, falls under ANNIHILATION_TOL
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({
+        "n": 4, "sharpening": 1000, "steps": [{"type": "diffusion", "p": 0.6, "d": 3}]}))
+    out = tmp_path / "o"
+    assert run_cli("run", "--plan", str(plan), "--out", str(out)) == 4
+    assert capsys.readouterr().err == "error: sharpening left no surviving amplitude\n"
+    assert not out.exists()
+
+
 def _long_hard_plan(rounds):
     steps = []
     for i in range(rounds):
@@ -256,7 +269,7 @@ def test_fourier_commands_run_at_n8_within_1_gib(tmp_path):
     (tmp_path / "plan.json").write_text(json.dumps(PLAN_N8))
     rng = np.random.default_rng(8)
     h = rng.standard_normal(math.factorial(8))
-    (tmp_path / "h.csv").write_text(function_to_csv(h / np.linalg.norm(h)))
+    (tmp_path / "h.csv").write_text(oracles.function_csv_rows(h / np.linalg.norm(h)))
     commands = {
         "run": (["--plan", "plan.json"],
                 ["ledger.jsonl", "posterior.csv", "report.json", "spectrum.json"]),
@@ -326,7 +339,7 @@ def test_spectrum_delta_energies(tmp_path):
     csv_path = tmp_path / "delta.csv"
     delta = np.zeros(6)
     delta[0] = 1.0
-    csv_path.write_text(function_to_csv(delta))
+    csv_path.write_text(oracles.function_csv_rows(delta))
     out = tmp_path / "out"
     assert run_cli("spectrum", "--input", str(csv_path), "--out", str(out)) == 0
     energies = json.loads((out / "energies.json").read_text())
@@ -347,7 +360,7 @@ def test_spectrum_transforms_once_when_unitary(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "gft_forward", counted)
     csv_path = tmp_path / "h.csv"
-    csv_path.write_text(function_to_csv(np.random.default_rng(5).standard_normal(24)))
+    csv_path.write_text(oracles.function_csv_rows(np.random.default_rng(5).standard_normal(24)))
     energies = {}
     for normalization, expected_calls in (("unitary", 1), ("plain", 2)):
         calls.clear()
@@ -361,7 +374,7 @@ def test_spectrum_transforms_once_when_unitary(tmp_path, monkeypatch):
 
 def test_spectrum_uniform_concentrates(tmp_path):
     csv_path = tmp_path / "uniform.csv"
-    csv_path.write_text(function_to_csv(np.full(24, 1 / 24)))
+    csv_path.write_text(oracles.function_csv_rows(np.full(24, 1 / 24)))
     out = tmp_path / "out"
     assert run_cli("spectrum", "--input", str(csv_path), "--out", str(out)) == 0
     energies = json.loads((out / "energies.json").read_text())
@@ -382,7 +395,7 @@ def test_spectrum_csv_format(tmp_path):
     csv_path = tmp_path / "delta.csv"
     delta = np.zeros(6)
     delta[0] = 1.0
-    csv_path.write_text(function_to_csv(delta))
+    csv_path.write_text(oracles.function_csv_rows(delta))
     out = tmp_path / "out"
     code = run_cli("spectrum", "--input", str(csv_path), "--out", str(out),
                    "--format", "csv")
@@ -561,7 +574,7 @@ def test_fourier_sampling_and_spectrum_share_one_distribution(
                    "--mode", "fourier", "--count", "10") == 0
     state, _ = run_plan(plan_from_json(plan_text))
     csv_path = tmp_path / "state.csv"
-    csv_path.write_text(function_to_csv(state.amplitudes))
+    csv_path.write_text(oracles.function_csv_rows(state.amplitudes))
     assert run_cli("spectrum", "--input", str(csv_path), "--out", str(tmp_path / "e"),
                    "--normalization", normalization) == 0
     sampled = (tmp_path / "s" / "distribution.json").read_bytes()

@@ -234,7 +234,7 @@ def test_reorder_equals_bayes_bitwise_at_n8():
         window = "front" if obs.kind == "assignment" else "back"
         assert np.array_equal(_window_mask(obs, n, window),
                               _consistent_mask(obs, all_one_lines(n)))
-        swaps = len(reorder_sequence(n, obs.touched(), f"to_{window}")[1])
+        swaps = len(reorder_sequence(n, obs.touched(), f"to_{window}"))
         for encoding in ("amplitude", "born"):
             direct, ps_direct = bayes_update(psi, obs, encoding)
             routed, ps_routed, cost = reorder_update_condition(psi, obs, encoding)

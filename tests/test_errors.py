@@ -12,7 +12,6 @@ from snfourier.diffusion import DiffusionStep, apply_diffusion_spectral
 from snfourier.errors import AnnihilatedStateError, DegreeGuardError
 from snfourier.perms import Permutation
 from snfourier.pipeline import ModelState, sharpen_map, state_prep_unitary
-from snfourier.serialize import function_to_csv
 from snfourier.transform import function_degree, gft_forward, left_shift
 
 N = 3
@@ -59,7 +58,6 @@ GUARDED = {
     "left_shift": lambda h: left_shift(Permutation(range(1, 11)), h),
     "bayes_update": lambda h: bayes_update(h, RANKING),
     "ModelState": lambda h: ModelState(amplitudes=h, encoding="amplitude"),
-    "function_to_csv": function_to_csv,
 }
 
 

@@ -104,7 +104,7 @@ def test_ledger_swaps_count_relabel_and_uncompute():
                 assert entry["swaps"] == 0
                 continue
             mode = "to_front" if obs.kind == "assignment" else "to_back"
-            assert entry["swaps"] == 2 * len(reorder_sequence(n, obs.touched(), mode)[1])
+            assert entry["swaps"] == 2 * len(reorder_sequence(n, obs.touched(), mode))
             total += entry["swaps"]
     assert total > 0
 

