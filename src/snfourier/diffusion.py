@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .errors import PlanValidationError, check_unit_norm, renormalized
-from .partitions import diffusion_eigenvalue, enumerate_partitions, \
+from .partitions import diffusion_eigenvalue, enumerate_partitions, irrep_dimension, \
     transposition_character_ratio
 from .perms import Permutation, lehmer_encode, lehmer_rank
 from .transform import FourierSpectrum
@@ -111,8 +111,9 @@ def apply_diffusion_spectral(
     scales = _step_scales(step, spectrum.n)
     p_s = sum(scales[lam] ** 2 * e for lam, e in energies.items())
     factors = renormalized(np.array([scales[lam] for lam in energies]), p_s, "diffusion")
-    blocks = {lam: f * spectrum.blocks[lam] for lam, f in zip(energies, factors)}
-    return FourierSpectrum(spectrum.n, "unitary", blocks), p_s
+    sizes = [irrep_dimension(lam) ** 2 for lam in energies]
+    return FourierSpectrum(spectrum.n, "unitary",
+                           spectrum.values * np.repeat(factors, sizes)), p_s
 
 
 def apply_diffusion_born(

@@ -328,25 +328,22 @@ def partition_key(lam: Partition) -> str:
 def spectrum_to_json(spectrum: FourierSpectrum) -> str:
     """{"normalization": ..., "blocks": {"[3,1]": [[a, b, c], ...], ...}}.
 
-    One printer call covers the entries of every block; each entry's row is
-    followed by its separator, ", ", "], [" or "]]", NUL-padded to 4 bytes.
+    One printer call covers the values; each block takes the next d * d
+    printed entries, each followed by its separator, ", ", "], [" or "]]",
+    NUL-padded to 4 bytes.
     """
-    lams = enumerate_partitions(spectrum.n)
-    blocks = [np.asarray(spectrum.blocks[lam], dtype=np.float64) for lam in lams]
-    floats = _float_rows(np.concatenate([block.ravel() for block in blocks]))
+    floats = _float_rows(spectrum.values)
     parts = ['{"normalization": %s, "blocks": {' % json.dumps(spectrum.normalization)]
-    start = 0
-    for lam, block in zip(lams, blocks):
+    for lam, block in spectrum.blocks.items():
         text = bytearray(block.size * (_FLOAT_WIDTH + 4))
         entries = np.frombuffer(text, dtype=np.uint8).reshape(*block.shape, _FLOAT_WIDTH + 4)
-        entries[..., :_FLOAT_WIDTH] = floats[start:start + block.size].reshape(
-            *block.shape, _FLOAT_WIDTH)
+        entries[..., :_FLOAT_WIDTH] = floats[:block.size].reshape(*block.shape, _FLOAT_WIDTH)
+        floats = floats[block.size:]
         entries[:, :-1, _FLOAT_WIDTH:] = np.frombuffer(b", \0\0", dtype=np.uint8)
         entries[:, -1, _FLOAT_WIDTH:] = np.frombuffer(b"], [", dtype=np.uint8)
         entries[-1, -1, _FLOAT_WIDTH:] = np.frombuffer(b"]]\0\0", dtype=np.uint8)
-        parts.append('%s"%s": [[%s' % (", " if start else "", partition_key(lam),
+        parts.append('%s"%s": [[%s' % (", " if len(parts) > 1 else "", partition_key(lam),
                                        text.translate(None, b"\0").decode("ascii")))
-        start += block.size
     del floats, entries, text  # before the parts are joined
     parts.append("}}\n")
     return "".join(parts)

@@ -1,10 +1,13 @@
 """Fast Fourier transform on S_n, group convolution and the regular action.
 
 Functions on the group are plain float arrays of length n! indexed by Lehmer
-rank; the degree is recovered from the length. Spectra hold one d x d block
-per partition in canonical (reverse lexicographic) order under either the
-plain normalization (forward sum as-is) or the unitary one, which scales each
-block by sqrt(d / n!) and turns the transform into an isometry.
+rank; the degree is recovered from the length. A spectrum is one array of
+n! = sum_lam d_lam^2 amplitudes in the QFT's (lam, i, j) order: the d x d
+block of each partition, row-major, with partitions in canonical (reverse
+lexicographic) order. This module alone maps blocks to offsets, through
+FourierSpectrum.blocks. A spectrum is under either the plain normalization
+(forward sum as-is) or the unitary one, which scales each block by
+sqrt(d / n!) and turns the transform into an isometry.
 
 The forward and inverse transforms run Clausen's coset recursion along
 S_1 < S_2 < ... < S_n (M. Clausen, "Fast generalized Fourier transforms",
@@ -47,22 +50,28 @@ def function_degree(values) -> int:
 
 @dataclass(frozen=True, eq=False)
 class FourierSpectrum:
-    """Per-partition blocks of a transformed function."""
+    """The n! amplitudes of a transformed function, in the QFT's order."""
 
     n: int
     normalization: str
-    blocks: dict[Partition, np.ndarray]
+    values: np.ndarray
 
     def __post_init__(self):
         if self.normalization not in NORMALIZATIONS:
             raise ValueError(f"unknown normalization {self.normalization!r}")
-        expected = enumerate_partitions(self.n)
-        if set(self.blocks) != set(expected):
-            raise ValueError("blocks must cover exactly the partitions of n")
-        for lam in expected:
+        fact = math.factorial(self.n)
+        if self.values.shape != (fact,):
+            raise ValueError(f"values must be a flat array of n! = {fact} entries")
+
+    @property
+    def blocks(self) -> dict[Partition, np.ndarray]:
+        """Block lam as a d x d view of values, partitions in canonical order."""
+        blocks, start = {}, 0
+        for lam in enumerate_partitions(self.n):
             d = irrep_dimension(lam)
-            if self.blocks[lam].shape != (d, d):
-                raise ValueError(f"block {lam.parts} must be {d}x{d}")
+            blocks[lam] = self.values[start:start + d * d].reshape(d, d)
+            start += d * d
+        return blocks
 
     def energies(self) -> dict[Partition, float]:
         """Squared Frobenius norm per block, the Fourier-sampling weights."""
@@ -72,10 +81,18 @@ class FourierSpectrum:
         return sum(self.energies().values())
 
     def sampling_distribution(self) -> dict[Partition, float]:
-        """Weak Fourier sampling: Pr(lam) = block energy / total energy."""
+        """Weak Fourier sampling: Pr(lam) = block energy / total energy.
+
+        The energies are summed over values times the power of two that puts
+        the largest magnitude in [1/2, 1). That scaling is exact, so the
+        ratios keep their bits, while no square overflows and the total
+        underflows only for the zero function.
+        """
         if self.normalization != "unitary":
             raise ValueError("the sampling distribution needs a unitary spectrum")
-        energies = self.energies()
+        _, exponent = np.frexp(np.max(np.abs(self.values)))
+        scaled = FourierSpectrum(self.n, "unitary", np.ldexp(self.values, -exponent))
+        energies = scaled.energies()
         total = sum(energies.values())
         if total <= 0:
             raise ValueError("the zero function has no sampling distribution")
@@ -91,12 +108,11 @@ def delta_spectrum(n: int, normalization: str = "unitary") -> FourierSpectrum:
     """
     check_degree(n)
     fact = math.factorial(n)
-    blocks = {}
-    for lam in enumerate_partitions(n):
-        d = irrep_dimension(lam)
-        scale = math.sqrt(d / fact) if normalization == "unitary" else 1.0
-        blocks[lam] = scale * np.eye(d)
-    return FourierSpectrum(n, normalization, blocks)
+    spectrum = FourierSpectrum(n, normalization, np.zeros(fact))
+    for block in spectrum.blocks.values():
+        scale = math.sqrt(len(block) / fact) if normalization == "unitary" else 1.0
+        np.fill_diagonal(block, scale)
+    return spectrum
 
 
 @lru_cache(maxsize=None)
@@ -142,22 +158,24 @@ def gft_forward(h, normalization: str = "unitary") -> FourierSpectrum:
     fact = math.factorial(n)
     gather, levels = _fft_plan(n)
     prev = [values[gather].reshape(1, fact, 1)]
-    for k, batch, level in levels:
-        cur = []
-        for d, slabs in level:
-            block = np.empty((d, batch, d))
-            for mu, lo, hi, _, slab_t in slabs:
-                cosets = prev[mu].reshape((hi - lo) * batch, k * (hi - lo))
-                np.dot(cosets, slab_t, out=block[lo:hi].reshape(-1, d))
-            cur.append(block)
-        prev = cur
-    blocks = {}
-    for lam, block in zip(enumerate_partitions(n), prev):
-        block = block[:, 0].T.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, batch, level in levels:
+            cur = []
+            for d, slabs in level:
+                block = np.empty((d, batch, d))
+                for mu, lo, hi, _, slab_t in slabs:
+                    cosets = prev[mu].reshape((hi - lo) * batch, k * (hi - lo))
+                    np.dot(cosets, slab_t, out=block[lo:hi].reshape(-1, d))
+                cur.append(block)
+            prev = cur
+    spectrum = FourierSpectrum(n, normalization, np.empty(fact))
+    for block, top in zip(spectrum.blocks.values(), prev):
+        block[...] = top[:, 0].T
         if normalization == "unitary":
-            block *= math.sqrt(irrep_dimension(lam) / fact)
-        blocks[lam] = block
-    return FourierSpectrum(n, normalization, blocks)
+            block *= math.sqrt(len(block) / fact)
+    if not np.isfinite(spectrum.values).all():
+        raise ValueError("the transform overflowed double range")
+    return spectrum
 
 
 def gft_inverse(spectrum: FourierSpectrum) -> np.ndarray:
@@ -171,10 +189,10 @@ def gft_inverse(spectrum: FourierSpectrum) -> np.ndarray:
     fact = math.factorial(n)
     gather, levels = _fft_plan(n)
     cur = []
-    for lam in enumerate_partitions(n):
-        d = irrep_dimension(lam)
+    for block in spectrum.blocks.values():
+        d = len(block)
         scale = d / fact if spectrum.normalization == "plain" else math.sqrt(d / fact)
-        cur.append(scale * np.asarray(spectrum.blocks[lam], dtype=np.float64).T[:, None])
+        cur.append(scale * block.T[:, None])
     for k, _, level in reversed(levels):
         prev = [None] * len(enumerate_partitions(k - 1))
         for block, (d, slabs) in zip(cur, level):
@@ -215,13 +233,13 @@ def convolve_spectra(qhat: FourierSpectrum, hhat: FourierSpectrum) -> FourierSpe
     if qhat.normalization != hhat.normalization:
         raise ValueError("spectra must share the same normalization")
     fact = math.factorial(qhat.n)
-    blocks = {}
-    for lam, qb in qhat.blocks.items():
-        block = qb @ hhat.blocks[lam]
+    out = FourierSpectrum(qhat.n, qhat.normalization, np.empty(fact))
+    for qb, hb, block in zip(qhat.blocks.values(), hhat.blocks.values(),
+                             out.blocks.values()):
+        np.matmul(qb, hb, out=block)
         if qhat.normalization == "unitary":
-            block *= math.sqrt(fact / irrep_dimension(lam))
-        blocks[lam] = block
-    return FourierSpectrum(qhat.n, qhat.normalization, blocks)
+            block *= math.sqrt(fact / len(block))
+    return out
 
 
 def left_shift(tau: Permutation, h) -> np.ndarray:

@@ -141,10 +141,7 @@ def _check_convolution_duality(n_max, rng):
                     gft_forward(q, normalization), gft_forward(h, normalization)
                 )
                 rhs = gft_forward(direct, normalization)
-                for lam, block in rhs.blocks.items():
-                    worst = max(
-                        worst, float(np.max(np.abs(lhs.blocks[lam] - block)))
-                    )
+                worst = max(worst, float(np.max(np.abs(lhs.values - rhs.values))))
     sweeps = f"dense n <= {top}"
     if n_max > top:
         sweeps += f", 8-point sparse n = 8..{n_max}"

@@ -170,6 +170,13 @@ def naive_gft_block(h, matrices):
     return out
 
 
+def spectrum_from_blocks(n, normalization, blocks):
+    """A FourierSpectrum from a {Partition: d x d array} dict, by concatenating
+    the blocks row-major in canonical partition order."""
+    return FourierSpectrum(n, normalization, np.concatenate(
+        [np.asarray(blocks[lam], dtype=np.float64).ravel() for lam in enumerate_partitions(n)]))
+
+
 def dense_gft_forward(h, normalization="unitary"):
     """Forward transform as one tensordot per partition over its irrep stack."""
     values = np.asarray(h, dtype=np.float64)
@@ -181,7 +188,7 @@ def dense_gft_forward(h, normalization="unitary"):
         if normalization == "unitary":
             block *= math.sqrt(irrep_dimension(lam) / fact)
         blocks[lam] = block
-    return FourierSpectrum(n, normalization, blocks)
+    return spectrum_from_blocks(n, normalization, blocks)
 
 
 def dense_gft_inverse(spectrum):

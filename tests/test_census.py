@@ -146,7 +146,8 @@ def _patched_by_perfbench():
 def test_every_function_in_src_is_reached_or_exempt(tmp_path):
     commands = _commands(tmp_path)
     done = subprocess.run(
-        [sys.executable, "-c", _TRACED, json.dumps([argv for argv, _ in commands])],
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", _TRACED,
+         json.dumps([argv for argv, _ in commands])],
         capture_output=True, text=True, timeout=120, cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert done.returncode == 0, done.stderr

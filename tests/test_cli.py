@@ -229,10 +229,11 @@ def _address_space_cap(limit):
 
 
 def _run_module(cwd, limit, *argv):
-    """snfourier in a child process whose address space is capped at limit bytes."""
+    """snfourier in a child process whose address space is capped at limit bytes,
+    where a RuntimeWarning is an error, as in this suite."""
     src = str(Path(snfourier.__file__).parents[1])
     return subprocess.run(
-        [sys.executable, "-m", "snfourier.cli", *argv],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "snfourier.cli", *argv],
         cwd=cwd, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
         timeout=30, preexec_fn=_address_space_cap(limit),
     )
@@ -389,6 +390,30 @@ def test_spectrum_non_factorial_rows(tmp_path, capsys):
     csv_path.write_text("rank,value\n" + "\n".join(f"{i},0.1" for i in range(7)) + "\n")
     assert run_cli("spectrum", "--input", str(csv_path), "--out", str(tmp_path / "o")) == 2
     assert "factorial" in capsys.readouterr().err
+
+
+def test_spectrum_whose_transform_overflows_exits_2(tmp_path, capsys):
+    # finite values whose sum leaves double range
+    csv_path = tmp_path / "huge.csv"
+    csv_path.write_text("rank,value\n0,1e308\n1,1e308\n")
+    out = tmp_path / "out"
+    assert run_cli("spectrum", "--input", str(csv_path), "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: the transform overflowed double range\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("exponent", ["e-200", "e200"])
+def test_spectrum_energies_survive_squares_out_of_double_range(tmp_path, exponent):
+    # the squares of these values underflow to 0 or overflow to inf
+    energies = {}
+    for tag in ("", exponent):
+        csv_path = tmp_path / f"h{tag}.csv"
+        csv_path.write_text("rank,value\n" + "".join(
+            f"{rank},{value}{tag}\n" for rank, value in enumerate((1, 2, 3, 1, 1, 1))))
+        out = tmp_path / f"out{tag}"
+        assert run_cli("spectrum", "--input", str(csv_path), "--out", str(out)) == 0
+        energies[tag] = json.loads((out / "energies.json").read_text())
+    assert energies[exponent] == pytest.approx(energies[""], abs=1e-14)
 
 
 def test_spectrum_csv_format(tmp_path):

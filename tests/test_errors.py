@@ -129,10 +129,8 @@ def test_post_selected_steps_leave_their_input_unchanged(step):
 
 def test_diffusion_leaves_its_input_spectrum_unchanged():
     spectrum = gft_forward(_read_only_state(), "unitary")
-    for block in spectrum.blocks.values():
-        block.flags.writeable = False
-    before = {lam: block.tobytes() for lam, block in spectrum.blocks.items()}
+    spectrum.values.flags.writeable = False
+    before = spectrum.values.tobytes()
     out, _ = apply_diffusion_spectral(spectrum, DiffusionStep(p=0.7, d=3))
-    assert {lam: block.tobytes() for lam, block in spectrum.blocks.items()} == before
-    assert not any(np.shares_memory(out.blocks[lam], block)
-                   for lam, block in spectrum.blocks.items())
+    assert spectrum.values.tobytes() == before
+    assert not np.shares_memory(out.values, spectrum.values)

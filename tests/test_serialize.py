@@ -38,7 +38,7 @@ from snfourier.serialize import (
     spectrum_to_json,
 )
 from snfourier.partitions import Partition
-from snfourier.transform import FourierSpectrum, gft_forward
+from snfourier.transform import gft_forward
 
 RNG = np.random.default_rng(20260814)
 
@@ -87,7 +87,7 @@ def test_spectrum_json_prints_each_entry_with_format_float():
     values = [0.0, -0.0, 1e-300, 1 / 3, -2.5e17, 5e-324]
     blocks = {lam: np.array(values[:d * d]).reshape(d, d) for lam, d in
               ((Partition((3,)), 1), (Partition((2, 1)), 2), (Partition((1, 1, 1)), 1))}
-    text = spectrum_to_json(FourierSpectrum(3, "plain", blocks))
+    text = spectrum_to_json(oracles.spectrum_from_blocks(3, "plain", blocks))
     doc = json.loads(text)
     for block in blocks.values():
         for row in block:
@@ -96,7 +96,7 @@ def test_spectrum_json_prints_each_entry_with_format_float():
     for bad in (math.nan, math.inf, -math.inf):
         blocks[Partition((2, 1))][1, 0] = bad
         with pytest.raises(ValueError, match=f"non-finite value {bad!r}"):
-            spectrum_to_json(FourierSpectrum(3, "plain", blocks))
+            spectrum_to_json(oracles.spectrum_from_blocks(3, "plain", blocks))
 
 
 def test_function_csv_round_trip():
@@ -282,16 +282,12 @@ def test_writers_match_row_by_row_oracles(n):
     assert posterior_to_csv(posterior) == oracles.posterior_csv_rows(posterior)
 
     spectrum = gft_forward(oracles.random_unit(rng, fact), "unitary")
-    blocks = [spectrum.blocks[lam] for lam in enumerate_partitions(n)]
-    for i, block in enumerate(blocks):
+    for i, block in enumerate(spectrum.blocks.values()):
         k = min(block.size, len(PLANTED))
         block.flat[:k] = np.roll(PLANTED, i)[:k]
-    # the spectrum is printed in one call over its blocks' entries in order
-    flat = np.concatenate([block.ravel() for block in blocks])
+    # the spectrum is printed in one call over its values
     edges = [r for lo, _ in _chunks(fact)[1:] for r in (lo - 1, lo)]
-    flat[edges] = np.resize(PLANTED[::-1], len(edges))
-    for block, entries in zip(blocks, np.split(flat, np.cumsum([b.size for b in blocks]))):
-        block[...] = entries.reshape(block.shape)
+    spectrum.values[edges] = np.resize(PLANTED[::-1], len(edges))
     assert spectrum_to_json(spectrum) == oracles.spectrum_json_rows(spectrum)
 
 

@@ -85,18 +85,27 @@ def test_inverse_of_zero_and_delta_spectra():
 
 def test_spectrum_validation():
     n = 3
-    good = {lam: np.zeros((irrep_dimension(lam),) * 2)
-            for lam in enumerate_partitions(n)}
-    bad_shape = dict(good)
-    bad_shape[Partition((2, 1))] = np.zeros((1, 1))
-    with pytest.raises(ValueError):
-        FourierSpectrum(n, "unitary", bad_shape)
-    missing = dict(good)
-    del missing[Partition((3,))]
-    with pytest.raises(ValueError):
-        FourierSpectrum(n, "unitary", missing)
-    with pytest.raises(ValueError):
-        FourierSpectrum(n, "euclidean", good)
+    FourierSpectrum(n, "unitary", np.zeros(6))
+    with pytest.raises(ValueError, match="unknown normalization"):
+        FourierSpectrum(n, "euclidean", np.zeros(6))
+    for bad in (np.zeros(5), np.zeros(7), np.zeros((6, 1)), np.zeros((2, 3))):
+        with pytest.raises(ValueError, match="flat array of n! = 6 entries"):
+            FourierSpectrum(n, "unitary", bad)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_blocks_tile_values_in_canonical_order(n):
+    spec = FourierSpectrum(n, "plain", np.arange(math.factorial(n), dtype=np.float64))
+    blocks = spec.blocks
+    assert tuple(blocks) == enumerate_partitions(n)
+    start = 0
+    for lam, block in blocks.items():
+        d = irrep_dimension(lam)
+        assert block.shape == (d, d)
+        assert np.shares_memory(block, spec.values)
+        assert np.array_equal(block.ravel(), np.arange(start, start + d * d))
+        start += d * d
+    assert start == math.factorial(n)
 
 
 def test_sampling_distribution_is_energy_over_total():
@@ -126,7 +135,7 @@ def test_fft_matches_dense_oracle(n):
         for lam in enumerate_partitions(n):
             assert np.max(np.abs(fast.blocks[lam] - dense.blocks[lam])) <= 1e-12
         # an arbitrary spectrum, not one the forward transform produced
-        spec = FourierSpectrum(n, norm, {
+        spec = oracles.spectrum_from_blocks(n, norm, {
             lam: RNG.standard_normal((irrep_dimension(lam),) * 2)
             for lam in enumerate_partitions(n)})
         assert np.max(np.abs(gft_inverse(spec) - oracles.dense_gft_inverse(spec))) <= 1e-12
@@ -164,6 +173,10 @@ def test_qft_delta_column_is_flattened_init_spectrum():
         flat = np.concatenate([spec.blocks[lam].ravel()
                                for lam in enumerate_partitions(n)])
         assert np.allclose(col, flat, atol=1e-12)
+    # the spectrum's values are the QFT's output register, in its order
+    for n in range(1, 6):
+        h = RNG.standard_normal(math.factorial(n))
+        assert np.max(np.abs(oracles.qft_matrix(n) @ h - gft_forward(h).values)) <= 1e-12
 
 
 def test_qft_guard():
@@ -273,5 +286,5 @@ def test_first_order_marginals_live_in_two_blocks():
     keep = {Partition((n,)), Partition((n - 1, 1))}
     blocks = {lam: (b if lam in keep else np.zeros_like(b))
               for lam, b in spec.blocks.items()}
-    projected = gft_inverse(FourierSpectrum(n, "unitary", blocks))
+    projected = gft_inverse(oracles.spectrum_from_blocks(n, "unitary", blocks))
     assert np.allclose(marginal_matrix(projected, n), full, atol=1e-10)
