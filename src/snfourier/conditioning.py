@@ -7,17 +7,19 @@ elsewhere, with s in (0.5, 1]; s = 1 is the hard projector.
 
 The update is the pointwise product of the likelihood with the state in the
 permutation basis, then post-selection, over one mask of consistent basis
-labels. One body computes it for any values that line up with rows of the
-one-line table: a dense state reads the whole cached table, while run_plan
-passes a state kept on its prior's support together with that support's
-rows, so no step reads the other n! entries.
+labels. One body, bayes_update, computes it for any values that line up with
+rows of the one-line table: a dense state reads the whole cached table, while
+run_plan passes a state kept on its prior's support together with that
+support's rows, so no step reads the other n! entries.
 
 A circuit would evaluate the same predicate by right-translating the basis,
 sigma -> sigma*pi, so the touched items occupy the leading (or trailing)
-one-line slots, and reading a fixed window of Lehmer digits there;
-reorder_update_condition reports the swaps that relabeling costs. The
-window readout itself lives in verify, as the oracle the mask is checked
-against.
+one-line slots, and reading a fixed window of Lehmer digits there.
+reorder_update_condition reports the adjacent swaps that relabeling costs,
+sum_m |idx_m - t_m| over the sorted touched slots idx_1 < ... < idx_k and
+their window slots t_m (m in front, n - k + m at the back), without building
+the swap list. The window readout itself lives in verify, as the oracle the
+mask is checked against.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import UNIT_NORM_TOL, PlanValidationError, checked_state, renormalized
-from .perms import all_one_lines, reorder_sequence
+from .perms import all_one_lines
 # no library code calls this; perfbench/spans.py patches it by name
 from .perms import ranks_after_sequence
 from .transform import function_degree
@@ -109,14 +111,19 @@ def _scaled(values, mask, weights, out) -> np.ndarray:
     return np.multiply(values, weights[0], out=out, where=mask)
 
 
-def _conditioned(
-    values: np.ndarray, lines: np.ndarray, obs: Observation, encoding: str
+def bayes_update(
+    state, obs: Observation, encoding: str = "amplitude", lines=None
 ) -> tuple[np.ndarray, float]:
-    """The update of values, which line up with the one-line table rows lines.
+    """Pointwise likelihood product and renormalization; returns (state, p_s).
 
-    The state-length array it returns is the only one it allocates: it takes
-    the squares for p_s, then the scaled values again, and is divided in place.
+    lines are the one-line table rows the state's values line up with; by
+    default the whole table, for a dense state. The state-length array it
+    returns is the only one it allocates: it takes the squares for p_s, then
+    the scaled values again, and is divided in place.
     """
+    values = checked_state(state, encoding)
+    if lines is None:
+        lines = all_one_lines(function_degree(values))
     if len(lines) != len(values):
         raise ValueError(f"{len(values)} values do not line up with {len(lines)} rows")
     obs.check_degree(lines.shape[1])
@@ -129,14 +136,6 @@ def _conditioned(
     out = _scaled(values, mask, weights, np.empty_like(values))
     p_s = float(np.sum(np.multiply(out, out, out=out)))
     return renormalized(_scaled(values, mask, weights, out), p_s, "conditioning"), p_s
-
-
-def bayes_update(
-    state, obs: Observation, encoding: str = "amplitude"
-) -> tuple[np.ndarray, float]:
-    """Pointwise likelihood product and renormalization; returns (state, p_s)."""
-    values = checked_state(state, encoding)
-    return _conditioned(values, all_one_lines(function_degree(values)), obs, encoding)
 
 
 def success_probability_conditioning(h, obs: Observation) -> float:
@@ -173,16 +172,16 @@ def reorder_update_condition(
 ) -> tuple[np.ndarray, float, CostReport]:
     """bayes_update, plus the swap count of the circuit's window readout.
 
-    lines are the one-line table rows the state's values line up with; by
-    default the whole table, for a dense state. Assignments read a front
-    window and rankings a back window; the count is plan arithmetic from
-    reorder_sequence, and the basis is never relabeled.
+    Assignments read a front window and rankings a back window. Moving the
+    sorted touched slots idx_1 < ... < idx_k onto window slots t_m, with
+    t_m = m in front and n - k + m at the back, takes sum_m |idx_m - t_m|
+    adjacent swaps; the count is that arithmetic, and the basis is never
+    relabeled.
     """
-    values = checked_state(state, encoding)
-    if lines is None:
-        lines = all_one_lines(function_degree(values))
-    posterior, p_s = _conditioned(values, lines, obs, encoding)
+    posterior, p_s = bayes_update(state, obs, encoding, lines)
     window = "front" if obs.kind == "assignment" else "back"
-    touched = () if obs.is_empty else obs.touched()
-    seq = reorder_sequence(lines.shape[1], touched, f"to_{window}")
-    return posterior, p_s, CostReport(window, len(seq))
+    idx = sorted(() if obs.is_empty else obs.touched())
+    n = function_degree(posterior) if lines is None else lines.shape[1]
+    first = 1 if window == "front" else n - len(idx) + 1
+    swaps = sum(abs(i - t) for t, i in enumerate(idx, start=first))
+    return posterior, p_s, CostReport(window, swaps)

@@ -1,7 +1,9 @@
 """Shared exception types, the dense-storage degree guard, and the tolerances
 with the checks that apply them: a step's input state is a unit vector within
 UNIT_NORM_TOL, and a post-selected step whose success probability is at most
-ANNIHILATION_TOL, which is float noise, has left no survivable state."""
+ANNIHILATION_TOL, which is float noise, has left no survivable state. The
+verify battery and the block-encoding check accept a deviation from an exact
+identity of at most CHECK_TOL."""
 
 import numpy as np
 
@@ -11,6 +13,7 @@ ENCODINGS = ("amplitude", "born")
 
 UNIT_NORM_TOL = 1e-8
 ANNIHILATION_TOL = 1e-24
+CHECK_TOL = 1e-10
 
 
 class SnfourierError(Exception):

@@ -121,32 +121,6 @@ def adjacent_update(code: LehmerCode, k: int) -> LehmerCode:
     return LehmerCode(code.digits[: k - 1] + pair + code.digits[k + 1 :])
 
 
-def reorder_sequence(n: int, indices: tuple[int, ...], mode: str) -> tuple[int, ...]:
-    """Adjacent-swap plan moving the given slots to the front or the back.
-
-    Right-composing sigma with the tau_k of the returned sequence, in order,
-    yields sigma . pi, whose leading (mode="to_front") or trailing
-    (mode="to_back") slots read the chosen indices in ascending order; slots
-    already in place cost nothing, and its length is at most k*n.
-    """
-    idx = sorted(int(i) for i in indices)
-    if len(set(idx)) != len(idx):
-        raise ValueError("indices must be distinct")
-    if idx and not (1 <= idx[0] and idx[-1] <= n):
-        raise ValueError(f"indices must lie in 1..{n}")
-    k = len(idx)
-    seq: list[int] = []
-    if mode == "to_front":
-        for slot, i in enumerate(idx, start=1):
-            seq.extend(range(i - 1, slot - 1, -1))
-    elif mode == "to_back":
-        for slot in range(k, 0, -1):
-            seq.extend(range(idx[slot - 1], n - k + slot))
-    else:
-        raise ValueError(f"mode must be to_front|to_back, got {mode!r}")
-    return tuple(seq)
-
-
 @lru_cache(maxsize=None)
 def all_one_lines(n: int) -> np.ndarray:
     """(n!, n) uint8 array of 1-based one-line forms, row r = permutation of rank r.

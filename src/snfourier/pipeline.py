@@ -38,8 +38,8 @@ from .diffusion import DiffusionStep, apply_diffusion_spectral, float_power, \
     success_probability_lower_bound
 # no library code calls this; perfbench/spans.py patches it by name
 from .diffusion import apply_diffusion_born
-from .errors import ENCODINGS, PlanValidationError, check_degree, check_unit_norm, \
-    checked_state, renormalized
+from .errors import CHECK_TOL, ENCODINGS, PlanValidationError, check_degree, \
+    check_unit_norm, checked_state, renormalized
 from .perms import Permutation, all_one_lines
 from .transform import function_degree, gft_forward, gft_inverse
 
@@ -466,5 +466,5 @@ def verify_posterior_block_encoding(prep: np.ndarray) -> BlockEncodingReport:
         diagonal=diagonal,
         diagonal_error=diagonal_error,
         unitary_error=unitary_error,
-        ok=diagonal_error < 1e-10 and unitary_error < 1e-10,
+        ok=diagonal_error < CHECK_TOL and unitary_error < CHECK_TOL,
     )

@@ -28,7 +28,7 @@ from .diffusion import (
     success_probability_lower_bound,
     success_probability_t0,
 )
-from .errors import check_degree
+from .errors import CHECK_TOL, check_degree
 from .partitions import irrep_dimension
 from .perms import (
     adjacent_transposition,
@@ -117,7 +117,7 @@ def _check_parseval(n_max, rng):
             h /= np.linalg.norm(h)
             err = abs(gft_forward(h, "unitary").total_energy() - float(h @ h))
             worst = max(worst, err)
-    return CheckResult(name, worst <= 1e-10, f"max |energy - norm^2| = {worst:.2e}")
+    return CheckResult(name, worst <= CHECK_TOL, f"max |energy - norm^2| = {worst:.2e}")
 
 
 def _check_convolution_duality(n_max, rng):
@@ -145,7 +145,7 @@ def _check_convolution_duality(n_max, rng):
     sweeps = f"dense n <= {top}"
     if n_max > top:
         sweeps += f", 8-point sparse n = 8..{n_max}"
-    return CheckResult(name, worst <= 1e-10, f"max block deviation = {worst:.2e}, {sweeps}")
+    return CheckResult(name, worst <= CHECK_TOL, f"max block deviation = {worst:.2e}, {sweeps}")
 
 
 def _check_claim1(n_max, rng):
@@ -156,7 +156,7 @@ def _check_claim1(n_max, rng):
             step = DiffusionStep(p)
             _, measured = apply_diffusion_spectral(delta_spectrum(n), step)
             worst = max(worst, abs(measured - success_probability_t0(n, p)))
-    return CheckResult(name, worst <= 1e-10, f"max |measured - closed form| = {worst:.2e}")
+    return CheckResult(name, worst <= CHECK_TOL, f"max |measured - closed form| = {worst:.2e}")
 
 
 def _check_claim2(n_max, rng):
@@ -198,7 +198,7 @@ def _check_claim3(n_max, rng):
             formula = success_probability_conditioning(h, obs)
             _, measured = bayes_update(encode_distribution(h, "amplitude"), obs, "amplitude")
             worst = max(worst, abs(formula - measured))
-    return CheckResult(name, worst <= 1e-10, f"max |formula - measured| = {worst:.2e}")
+    return CheckResult(name, worst <= CHECK_TOL, f"max |formula - measured| = {worst:.2e}")
 
 
 def _check_schur_diagonality(n_max, rng):
@@ -213,7 +213,8 @@ def _check_schur_diagonality(n_max, rng):
                 worst = max(worst, float(np.max(np.abs(off))))
                 diag_err = np.max(np.abs(np.diag(block) - float(step.eigenvalue(lam))))
                 worst = max(worst, float(diag_err))
-    return CheckResult(name, worst <= 1e-10, f"max off-diagonal/eigenvalue error = {worst:.2e}")
+    return CheckResult(name, worst <= CHECK_TOL,
+                       f"max off-diagonal/eigenvalue error = {worst:.2e}")
 
 
 def _check_plancherel_sampling(n_max, rng):
@@ -309,6 +310,8 @@ def run_battery(n_max: int, seed: int = 0, guard: int | None = None) -> list[Che
     check_degree(n_max, guard)
     if n_max < 2:
         raise ValueError("the battery needs n_max >= 2")
+    if seed < 0:
+        raise ValueError(f"seed: seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     results = []
     for check in _CHECKS:

@@ -331,6 +331,13 @@ def test_verify_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_negative_seed_names_the_option(capsys):
+    assert run_cli("verify", "--n-max", "3", "--seed", "-1") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_verify_beyond_guard(capsys):
     assert run_cli("verify", "--n-max", "12") == 3
     assert run_cli("verify", "--n-max", "5", "--n-guard", "4") == 3

@@ -1,16 +1,18 @@
 """Bayesian conditioning: predicates, the update, and its window-digit oracle."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import oracles
+from oracles import reorder_sequence
 from snfourier import conditioning
 from snfourier.conditioning import Observation, _consistent_mask, bayes_update, \
     reorder_update_condition, success_probability_conditioning
 from snfourier.errors import AnnihilatedStateError
-from snfourier.perms import Permutation, all_one_lines, reorder_sequence
+from snfourier.perms import Permutation, all_one_lines
 from snfourier.transform import left_shift
 from snfourier.verify import _window_mask
 
@@ -241,6 +243,20 @@ def test_reorder_equals_bayes_bitwise_at_n8():
             assert np.array_equal(routed, direct)
             assert ps_routed == ps_direct
             assert cost.swaps == swaps
+
+
+def test_swap_count_is_the_plan_length():
+    for n in range(2, 8):
+        psi = uniform_amplitudes(n)
+        for k in range(1, n + 1):
+            for subset in itertools.combinations(range(1, n + 1), k):
+                front = Observation(kind="assignment", indices=subset, values=subset)
+                _, _, cost = reorder_update_condition(psi, front)
+                assert cost.swaps == len(reorder_sequence(n, subset, "to_front"))
+                back = Observation(kind="ranking", items=subset)
+                _, _, cost = reorder_update_condition(psi, back)
+                expected = 0 if k == 1 else len(reorder_sequence(n, subset, "to_back"))
+                assert cost.swaps == expected
 
 
 def test_reorder_route_never_relabels_the_basis(monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import reorder_sequence
 from snfourier._backend import all_digits
 from snfourier.perms import (
     LehmerCode,
@@ -21,7 +22,6 @@ from snfourier.perms import (
     lehmer_rank,
     lehmer_unrank,
     ranks_after_sequence,
-    reorder_sequence,
 )
 
 

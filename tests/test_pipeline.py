@@ -9,12 +9,13 @@ import pytest
 from scipy import stats
 
 import oracles
+from oracles import reorder_sequence
 from snfourier.cli import main
 from snfourier.conditioning import Observation, bayes_update
 from snfourier.diffusion import kernel_as_function
 from snfourier.errors import AnnihilatedStateError, DegreeGuardError, PlanValidationError
 from snfourier.partitions import Partition, irrep_dimension, enumerate_partitions
-from snfourier.perms import all_one_lines, reorder_sequence
+from snfourier.perms import all_one_lines
 from snfourier.pipeline import DiffusionStep, EmpiricalInitial, \
     ExperimentPlan, ModelState, amplification_cost, encode_distribution, run_plan, \
     sample_computational, sample_fourier, sharpen_map, state_prep_unitary, \
