@@ -1,6 +1,6 @@
-"""Hot kernel in numpy: batch ranking of one-line forms with its cached
-factorial weights. The other cached tables here are read by no library code;
-perfbench/spans.py patches them by name.
+"""What only perfbench reads or patches by name: the backend stamps of its
+results and cached tables. No product module imports this one; perms holds
+the permutation table and the batch ranking kernel.
 """
 
 import importlib.util
@@ -9,11 +9,14 @@ from functools import lru_cache
 
 import numpy as np
 
+from .perms import all_one_lines
+
 # perfbench stamps its results with both names, so they stay.
 ACTIVE_BACKEND = "numpy"
 HAS_NUMBA = importlib.util.find_spec("numba") is not None
 
 
+# no library code calls this; perfbench/spans.py patches it by name
 @lru_cache(maxsize=None)
 def factorial_weights(n):
     """Big-endian factorial-base weights: slot i carries (n-1-i)!."""
@@ -69,8 +72,6 @@ def all_digits(n):
 @lru_cache(maxsize=None)
 def all_perms0(n):
     """perms.all_one_lines(n) with 0-based values, laid out the same way."""
-    from .perms import all_one_lines  # perms imports this module
-
     out = all_one_lines(n) - 1
     out.flags.writeable = False
     return out
@@ -85,17 +86,3 @@ def all_inverses0(n):
     out.flags.writeable = False
     return out
 
-
-def encode_batch(one_lines):
-    """Ranks of a batch of one-line rows (only their order matters).
-
-    Rows are read as uint8, so values must be below 256; each slot's count
-    of smaller later values, at most n - 1, is summed in uint8."""
-    cols = np.asarray(one_lines, dtype=np.uint8).T  # slot-major: row i is slot i
-    n, m = cols.shape
-    weights = factorial_weights(n)
-    ranks = np.zeros(m, dtype=np.int64)
-    for i in range(n - 1):
-        # an int64 array, not a scalar, keeps the product int64 on numpy 1.x
-        ranks += weights[i:i + 1] * np.sum(cols[i + 1:] < cols[i], axis=0, dtype=np.uint8)
-    return ranks

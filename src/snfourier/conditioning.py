@@ -46,9 +46,13 @@ class Observation:
     items: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-        object.__setattr__(self, "items", tuple(int(i) for i in self.items))
+        for name in ("indices", "values", "items"):
+            given = tuple(getattr(self, name))
+            coerced = tuple(int(v) for v in given)
+            if coerced != given:
+                raise PlanValidationError(
+                    name, f"observation entries must be integers, got {given}")
+            object.__setattr__(self, name, coerced)
         if self.kind not in ("assignment", "ranking"):
             raise PlanValidationError(
                 "kind", f"kind must be assignment|ranking, got {self.kind!r}"

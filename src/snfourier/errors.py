@@ -73,8 +73,11 @@ def renormalized(scaled: np.ndarray, p_s: float, step: str) -> np.ndarray:
 def check_degree(n: int, guard: int | None = None) -> int:
     """Validate a degree against the dense n!-storage guard.
 
-    A given guard can only tighten the default, never loosen it.
+    A given guard can only tighten the default, never loosen it, and must be
+    at least 1: a guard below that is a bad option value, not a violation.
     """
+    if guard is not None and guard < 1:
+        raise ValueError(f"degree guard must be >= 1, got {guard}")
     limit = DEFAULT_DEGREE_GUARD if guard is None else min(guard, DEFAULT_DEGREE_GUARD)
     if n < 1:
         raise ValueError(f"degree must be >= 1, got {n}")

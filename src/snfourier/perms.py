@@ -7,7 +7,8 @@ Conventions used throughout the package:
 * tau_k is the adjacent transposition of k and k+1, and right-composing
   sigma . tau_k swaps slots k and k+1 of the one-line form;
 * ranks are big-endian factorial-base values of Lehmer digits, which orders
-  S_n lexicographically by one-line form.
+  S_n lexicographically by one-line form; encode_batch ranks rows in bulk,
+  and all_one_lines is the table of S_n in rank order.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _backend
-
 
 @dataclass(frozen=True)
 class Permutation:
@@ -28,7 +27,10 @@ class Permutation:
     one_line: tuple[int, ...]
 
     def __post_init__(self):
-        ol = tuple(int(v) for v in self.one_line)
+        given = tuple(self.one_line)
+        ol = tuple(int(v) for v in given)
+        if ol != given:
+            raise ValueError(f"one-line values must be integers, got {given}")
         object.__setattr__(self, "one_line", ol)
         if sorted(ol) != list(range(1, len(ol) + 1)):
             raise ValueError(f"not a permutation of 1..{len(ol)}: {ol}")
@@ -141,10 +143,25 @@ def all_one_lines(n: int) -> np.ndarray:
     return out.T
 
 
+def encode_batch(one_lines) -> np.ndarray:
+    """Ranks of a batch of one-line rows (only their order matters).
+
+    Rows are read as uint8, so values must be below 256. Each slot's count of
+    smaller later values, at most n - 1, is summed in uint8 and folded into
+    the ranks by Horner's rule in the factorial base."""
+    cols = np.asarray(one_lines, dtype=np.uint8).T  # slot-major: row i is slot i
+    n, m = cols.shape
+    ranks = np.zeros(m, dtype=np.int64)
+    for i in range(n - 1):
+        ranks *= n - i
+        ranks += np.sum(cols[i + 1:] < cols[i], axis=0, dtype=np.uint8)
+    return ranks
+
+
 def ranks_after_sequence(n: int, seq: tuple[int, ...]) -> np.ndarray:
     """Rank of sigma_r composed with the swap sequence, for every rank r."""
     slots = list(range(n))
     for k in seq:
         slots[k - 1], slots[k] = slots[k], slots[k - 1]
     # slot m of sigma . pi holds sigma(pi(m))
-    return _backend.encode_batch(all_one_lines(n)[:, slots])
+    return encode_batch(all_one_lines(n)[:, slots])

@@ -25,10 +25,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _backend
 from .errors import check_degree
 from .partitions import Partition, enumerate_partitions, irrep_dimension
-from .perms import Permutation, all_one_lines
+from .perms import Permutation, all_one_lines, encode_batch
 from .yor import coset_slabs
 # no library code calls this; perfbench/spans.py patches it by name
 from .yor import irrep_stack
@@ -126,7 +125,7 @@ def _fft_plan(n: int):
     Level k = 2..n holds the count n!/k! of S_k cosets and, per partition
     lam of k in canonical order, its dimension and slabs.
     """
-    position = _backend.encode_batch(all_one_lines(n)[:, ::-1])
+    position = encode_batch(all_one_lines(n)[:, ::-1])
     gather = np.empty_like(position)
     gather[position] = np.arange(len(position))
     gather.setflags(write=False)
@@ -254,5 +253,5 @@ def left_shift(tau: Permutation, h) -> np.ndarray:
     for i in range(n):
         np.take(lookup, slots[i], out=shifted[i])
     out = np.empty_like(values)
-    out[_backend.encode_batch(shifted.T)] = values
+    out[encode_batch(shifted.T)] = values
     return out

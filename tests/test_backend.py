@@ -8,7 +8,8 @@ import pytest
 import oracles
 from snfourier import _backend
 from snfourier.partitions import enumerate_partitions
-from snfourier.perms import Permutation, all_one_lines, ranks_after_sequence
+from snfourier.perms import Permutation, all_one_lines, encode_batch, \
+    ranks_after_sequence
 from snfourier.transform import _fft_plan, convolve
 from snfourier.yor import irrep_of, irrep_stack
 
@@ -40,16 +41,26 @@ def test_encode_batch_matches_inversion_count(n):
     expected = [oracles.factorial_rank(oracles.inversion_digits(row)) for row in rows.tolist()]
     # 1-based and 0-based values rank alike
     for one_lines in (rows, rows - 1):
-        assert np.array_equal(_backend.encode_batch(one_lines), expected)
+        assert np.array_equal(encode_batch(one_lines), expected)
 
 
 def test_encode_batch_ranks_the_table_in_order():
     for n in range(1, 10):
         table = _backend.all_perms0(n)
         expected = np.arange(math.factorial(n))
-        assert np.array_equal(_backend.encode_batch(table), expected)
+        assert np.array_equal(encode_batch(table), expected)
         # a row-major copy ranks the same as the slot-major view
-        assert np.array_equal(_backend.encode_batch(np.ascontiguousarray(table)), expected)
+        assert np.array_equal(encode_batch(np.ascontiguousarray(table)), expected)
+
+
+def test_encode_batch_ranks_the_reversed_table_as_weighted_digits():
+    # the FFT plan ranks the table read backwards; a rank is, by definition,
+    # the sum of each slot's count of smaller later values times (n-1-i)!
+    for n in range(1, 10):
+        rows = np.asarray(all_one_lines(n)[:, ::-1], dtype=np.int64)
+        expected = sum(math.factorial(n - 1 - i) * np.sum(rows[:, i + 1:] < rows[:, i:i + 1],
+                                                          axis=1) for i in range(n))
+        assert np.array_equal(encode_batch(all_one_lines(n)[:, ::-1]), expected)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -6,7 +6,8 @@ already built. A module-level function or method of `snfourier` that no
 command reaches must be one that perfbench/spans.py patches by name (it
 becomes deletable when that monkeypatch goes) or one that an acceptance
 criterion tests as a paper claim. A listed function that a command does
-reach is stale and fails too.
+reach is stale and fails too. No command may import snfourier._backend,
+which holds only what perfbench reads or patches.
 """
 
 import importlib.util
@@ -36,8 +37,9 @@ ACCEPTANCE_ONLY = {
 }
 
 # Runs each argv through cli.main under sys.settrace, then prints one JSON
-# object: the exit codes, and for every module-level function and method
-# defined in a snfourier module whether any command called it.
+# object: the exit codes, whether any command imported snfourier._backend,
+# and for every module-level function and method defined in a snfourier
+# module whether any command called it.
 _TRACED = r"""
 import contextlib, importlib, inspect, io, json, pkgutil, sys
 
@@ -55,6 +57,8 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         codes.append(cli.main(argv))
 sys.settrace(None)
+# before the walk below imports every module
+backend_loaded = "snfourier._backend" in sys.modules
 
 def defined(owner, module):
     for obj in vars(owner).values():
@@ -71,7 +75,7 @@ for info in pkgutil.iter_modules(snfourier.__path__):
     module = importlib.import_module(f"snfourier.{info.name}")
     for fn in defined(module, module):
         functions[f"{module.__name__}.{fn.__qualname__}"] = fn.__code__ in reached
-print(json.dumps({"codes": codes, "functions": functions}))
+print(json.dumps({"codes": codes, "backend_loaded": backend_loaded, "functions": functions}))
 """
 
 
@@ -153,6 +157,7 @@ def test_every_function_in_src_is_reached_or_exempt(tmp_path):
     assert done.returncode == 0, done.stderr
     census = json.loads(done.stdout.splitlines()[-1])
     assert census["codes"] == [code for _, code in commands]
+    assert not census["backend_loaded"], "a command imports snfourier._backend"
 
     functions = census["functions"]
     listed = {name for names in ACCEPTANCE_ONLY.values() for name in names}

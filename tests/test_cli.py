@@ -128,6 +128,31 @@ def test_run_guard_violation(tmp_path, capsys):
     assert "guard" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "sample", "spectrum", "verify"])
+@pytest.mark.parametrize("guard", ["0", "-1"])
+def test_guard_below_1_is_a_bad_option_value(tmp_path, capsys, command, guard):
+    (tmp_path / "plan.json").write_text(PLAN_N3)
+    (tmp_path / "h.csv").write_text(oracles.function_csv_rows(np.full(6, 6 ** -0.5)))
+    out = ["--out", str(tmp_path / "o")]
+    argv = {"run": ["--plan", str(tmp_path / "plan.json"), *out],
+            "sample": ["--plan", str(tmp_path / "plan.json"), *out],
+            "spectrum": ["--input", str(tmp_path / "h.csv"), *out],
+            "verify": ["--n-max", "3"]}[command]
+    assert run_cli(command, *argv, "--n-guard", guard) == 2
+    assert capsys.readouterr().err == f"error: degree guard must be >= 1, got {guard}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_spectrum_and_sample_guard_violations_exit_3(tmp_path, capsys):
+    (tmp_path / "plan.json").write_text(PLAN_N3)
+    (tmp_path / "h.csv").write_text(oracles.function_csv_rows(np.full(6, 6 ** -0.5)))
+    out = ["--out", str(tmp_path / "o"), "--n-guard", "2"]
+    assert run_cli("spectrum", "--input", str(tmp_path / "h.csv"), *out) == 3
+    assert run_cli("sample", "--plan", str(tmp_path / "plan.json"), *out) == 3
+    assert capsys.readouterr().err == "error: n=3 exceeds dense-storage guard 2\n" * 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_degree_beyond_default_guard(tmp_path):
     plan = tmp_path / "plan.json"
     plan.write_text('{"n": 12}')

@@ -11,7 +11,7 @@ from oracles import reorder_sequence
 from snfourier import conditioning
 from snfourier.conditioning import Observation, _consistent_mask, bayes_update, \
     reorder_update_condition, success_probability_conditioning
-from snfourier.errors import AnnihilatedStateError
+from snfourier.errors import AnnihilatedStateError, PlanValidationError
 from snfourier.perms import Permutation, all_one_lines
 from snfourier.transform import left_shift
 from snfourier.verify import _window_mask
@@ -110,6 +110,22 @@ def test_observation_validation():
         Observation(kind="sorting", items=(1, 2), s=0.9)
     with pytest.raises(ValueError):
         Observation(kind="ranking", items=(1, 2), indices=(1,), values=(2,), s=0.9)
+
+
+@pytest.mark.parametrize("field, fields", [
+    ("indices", {"kind": "assignment", "indices": (1.9,), "values": (2,)}),
+    ("values", {"kind": "assignment", "indices": (1,), "values": (2.2,)}),
+    ("items", {"kind": "ranking", "items": (1, 2.5)}),
+])
+def test_observation_rejects_non_integral_entries(field, fields):
+    with pytest.raises(PlanValidationError) as err:
+        Observation(**fields)
+    assert err.value.field == field
+    assert err.value.reason.startswith("observation entries must be integers")
+    # integral values of any numeric type are still coerced to ints
+    obs = Observation("assignment", indices=(1.0, np.int64(2)), values=(True, 3.0))
+    assert (obs.indices, obs.values) == ((1, 2), (1, 3))
+    assert all(type(v) is int for v in obs.indices + obs.values)
 
 
 def test_bayes_uniform_hard_worked_example():

@@ -234,6 +234,16 @@ def test_batch_tables_match_lex_enumeration():
         ]
 
 
+def test_permutation_rejects_non_integral_values():
+    for line in ((1.7, 2, 3), (1, 2.0000001, 3), (np.float64(3.5), 1, 2)):
+        with pytest.raises(ValueError, match="one-line values must be integers"):
+            Permutation(line)
+    # integral values of any numeric type are still coerced to ints
+    for line in ((1.0, 2, 3), (True, 2, 3), tuple(np.array([1, 2, 3]))):
+        assert Permutation(line).one_line == (1, 2, 3)
+        assert all(type(v) is int for v in Permutation(line).one_line)
+
+
 def test_permutation_validation():
     with pytest.raises(ValueError):
         Permutation((1, 1, 2))

@@ -344,17 +344,23 @@ def test_sampler_draws_what_generator_choice_draws(kind):
         assert np.array_equal(draws, all_one_lines(state.n)[ranks])
 
 
-def test_born_prior_past_2_53_keeps_the_dense_bytes():
+def test_every_empirical_prior_is_built_on_its_support(monkeypatch):
+    def dense(self, n):
+        raise AssertionError("the prior went through the dense counts vector")
+
+    monkeypatch.setattr(EmpiricalInitial, "counts_vector", dense)
     lines = list(itertools.permutations(range(1, 5)))
-    initial = EmpiricalInitial(entries=tuple((lines[rank], count) for rank, count in
-                                             [(0, 3), (1, 3), (5, 3), (6, 3),
-                                              (10, 2**53), (12, 2**53)]))
-    dense = initial.counts_vector(4)
-    # the support's sum and the 24-long pairwise sum round the total apart
-    assert initial.support_counts()[1].sum() != dense.sum()
-    state, _ = run_plan(ExperimentPlan(n=4, encoding="born", initial=initial))
-    prior = encode_distribution(dense / dense.sum(), "born")
-    assert state.amplitudes.tobytes() == prior.tobytes()
+    # an amplitude prior, and a born prior whose count total is past 2**53
+    for encoding, large in (("amplitude", 5), ("born", 2**53)):
+        initial = EmpiricalInitial(entries=tuple((lines[rank], count) for rank, count in
+                                                 [(0, 3), (1, 3), (5, 3), (6, 3),
+                                                  (10, large), (12, large)]))
+        ranks, counts = initial.support_counts()
+        prior = np.zeros(24)
+        prior[ranks] = encode_distribution(counts / counts.sum(), encoding)
+        state, _ = run_plan(ExperimentPlan(n=4, encoding=encoding, initial=initial,
+                                           amplitude_empirical_ok=True))
+        assert state.amplitudes.tobytes() == prior.tobytes()
 
 
 def test_plan_validation():
@@ -384,6 +390,10 @@ DATASET_N4 = tuple(((2, 1, 3, 4), 1 + i) for i in range(6))
     (((2, 1, 3, 5), 2), "dataset[3].one_line", "not a permutation of 1..4: (2, 1, 3, 5)"),
     (((2, 1, 3, 4), 0), "dataset[3].count", "count must be an integer in 1..2**53"),
     (((2, 1, 3, 4), 2.5), "dataset[3].count", "count must be an integer in 1..2**53"),
+    (((1.9, 2, 3, 4), 2), "dataset[3].one_line",
+     "one-line values must be integers, got (1.9, 2, 3, 4)"),
+    ((("2", "1", "3", "4"), 2), "dataset[3].one_line",
+     "one-line values must be integers, got ('2', '1', '3', '4')"),
 ])
 @pytest.mark.parametrize("tail", [(), (((4, 3, 2, 1), 0),)], ids=["alone", "then-bad-count"])
 def test_empirical_initial_names_the_first_bad_entry(entry, field, message, tail):
