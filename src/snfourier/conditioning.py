@@ -47,9 +47,13 @@ class Observation:
 
     def __post_init__(self):
         for name in ("indices", "values", "items"):
-            given = tuple(getattr(self, name))
-            coerced = tuple(int(v) for v in given)
-            if coerced != given:
+            given = getattr(self, name)
+            try:
+                given = tuple(given)
+                coerced = tuple(int(v) for v in given)
+            except (TypeError, ValueError, OverflowError):  # None, inf, "x"
+                coerced = None
+            if coerced is None or coerced != given:
                 raise PlanValidationError(
                     name, f"observation entries must be integers, got {given}")
             object.__setattr__(self, name, coerced)

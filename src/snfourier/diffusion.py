@@ -14,7 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
+from types import MappingProxyType
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -80,12 +82,15 @@ def float_power(base, exponent: int):
     return np.copysign(magnitude, base) if exponent % 2 else magnitude
 
 
-def _step_scales(step: DiffusionStep, n: int) -> dict:
+@lru_cache(maxsize=256)
+def _step_scales(step: DiffusionStep, n: int) -> MappingProxyType:
     """c_lam^d per block, c_lam rounded once from the exact eigenvalue.
 
     With p = num/den and the character ratio a/b, c_lam is
     (num b + (den - num) a) / (den b); int true division rounds correctly,
-    as float(Fraction) does.
+    as float(Fraction) does. Cached read-only per (p, d, n): steps of equal
+    p hash alike whether p is a float, int or Fraction, and give the same
+    num/den. The cache is bounded, as a long-lived caller may meet many p.
     """
     _check_walk_degree(n)
     num, den = step.p.as_integer_ratio()
@@ -93,7 +98,7 @@ def _step_scales(step: DiffusionStep, n: int) -> dict:
     for lam in enumerate_partitions(n):
         a, b = transposition_character_ratio(lam).as_integer_ratio()
         scales[lam] = float(float_power((num * b + (den - num) * a) / (den * b), step.d))
-    return scales
+    return MappingProxyType(scales)
 
 
 def apply_diffusion_spectral(

@@ -147,20 +147,29 @@ def conjugacy_classes(n: int) -> tuple[ConjugacyClass, ...]:
 
 @lru_cache(maxsize=None)
 def character(lam: Partition, cycle_type: Partition) -> int:
-    """Irreducible character value chi_lam at the given cycle type.
+    """Irreducible character value chi_lam at the given cycle type, exact.
 
-    Computed as the trace of the orthogonal representation at a class
-    representative, then checked to be within 1e-6 of an integer.
+    The Murnaghan-Nakayama rule on beta-sets (B. Sagan, The Symmetric Group,
+    2nd ed., 2001, sec. 4.10): with beads at lam_i + (l - i) for l parts,
+    removing a rim hook of length k, the largest cycle, moves one bead k
+    places down onto a free place, with sign (-1)^(beads passed); the
+    character is the signed sum over those moves of the rest's character.
     """
     if cycle_type.weight != lam.weight:
         raise ValueError("cycle type and partition weigh different n")
-    from . import yor
-
-    rep = _class_representative(lam.weight, cycle_type.parts)
-    trace = float(yor.irrep_of(lam, rep).trace())
-    nearest = round(trace)
-    assert abs(trace - nearest) < 1e-6
-    return nearest
+    k, rest = cycle_type.parts[0], cycle_type.parts[1:]
+    length = len(lam.parts)
+    beads = [part + length - 1 - i for i, part in enumerate(lam.parts)]
+    total = 0
+    for bead in beads:
+        if bead < k or bead - k in beads:
+            continue
+        sign = (-1) ** sum(bead - k < other < bead for other in beads)
+        moved = sorted([b for b in beads if b != bead] + [bead - k], reverse=True)
+        parts = tuple(p for p in (b - (length - 1 - i) for i, b in enumerate(moved)) if p)
+        # with no cycle left, the hook was all of lam and the rest is empty
+        total += sign * (character(Partition(parts), Partition(rest)) if rest else 1)
+    return total
 
 
 def kronecker_multiplicity(lam: Partition, mu: Partition, nu: Partition) -> int:

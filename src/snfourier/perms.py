@@ -27,9 +27,13 @@ class Permutation:
     one_line: tuple[int, ...]
 
     def __post_init__(self):
-        given = tuple(self.one_line)
-        ol = tuple(int(v) for v in given)
-        if ol != given:
+        given = self.one_line
+        try:
+            given = tuple(given)
+            ol = tuple(int(v) for v in given)
+        except (TypeError, ValueError, OverflowError):  # None, inf, "x"
+            ol = None
+        if ol is None or ol != given:
             raise ValueError(f"one-line values must be integers, got {given}")
         object.__setattr__(self, "one_line", ol)
         if sorted(ol) != list(range(1, len(ol) + 1)):

@@ -76,7 +76,10 @@ def _scattered(size: int, ranks: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def _valid_count(count) -> bool:
     # a float64 holds every integer count up to 2**53 exactly
-    return 1 <= count <= 2**53 and int(count) == count
+    try:
+        return 1 <= count <= 2**53 and int(count) == count
+    except TypeError:  # None, "3"
+        return False
 
 
 def _entries_at_once(entries) -> Optional[tuple]:
@@ -116,7 +119,7 @@ class EmpiricalInitial:
                         f"dataset[{i}].count", "count must be an integer in 1..2**53"
                     )
                 try:
-                    perm = Permutation(tuple(one_line))
+                    perm = Permutation(one_line)
                 except ValueError as err:
                     raise PlanValidationError(f"dataset[{i}].one_line", str(err)) from None
                 coerced.append((perm.one_line, int(count)))

@@ -4,8 +4,8 @@ Functions on the group are plain float arrays of length n! indexed by Lehmer
 rank; the degree is recovered from the length. A spectrum is one array of
 n! = sum_lam d_lam^2 amplitudes in the QFT's (lam, i, j) order: the d x d
 block of each partition, row-major, with partitions in canonical (reverse
-lexicographic) order. This module alone maps blocks to offsets, through
-FourierSpectrum.blocks. A spectrum is under either the plain normalization
+lexicographic) order. This module alone maps blocks to offsets, through one
+cached layout per degree. A spectrum is under either the plain normalization
 (forward sum as-is) or the unitary one, which scales each block by
 sqrt(d / n!) and turns the transform into an isometry.
 
@@ -15,11 +15,18 @@ Theor. Comput. Sci. 67, 1989): a function on S_k is k functions on the left
 cosets of S_{k-1}, and Young's orthogonal form restricted to S_{k-1} is
 block-diagonal over the corners of lam, so each level costs one matrix
 product per (lam, corner) pair and no n!-long stack of matrices is built.
+The recursion is unrolled once per degree into a program: one (operand view,
+slab, output view) triple per (level, lam, corner), the views pointing into
+two n!-long buffers that the levels fill in turn. A transform then runs the
+triples in order, forward, or level by level backwards, inverse. The buffers
+are the program's own, so each call holds the program's lock while it runs;
+the slabs and the rank gather are read-only.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -65,16 +72,19 @@ class FourierSpectrum:
     @property
     def blocks(self) -> dict[Partition, np.ndarray]:
         """Block lam as a d x d view of values, partitions in canonical order."""
-        blocks, start = {}, 0
-        for lam in enumerate_partitions(self.n):
-            d = irrep_dimension(lam)
-            blocks[lam] = self.values[start:start + d * d].reshape(d, d)
-            start += d * d
-        return blocks
+        return {lam: self.values[start:stop].reshape(d, d)
+                for lam, start, stop, d in _block_layout(self.n)}
 
     def energies(self) -> dict[Partition, float]:
-        """Squared Frobenius norm per block, the Fourier-sampling weights."""
-        return {lam: float(np.sum(b * b)) for lam, b in self.blocks.items()}
+        """Squared Frobenius norm per block, the Fourier-sampling weights.
+
+        All squares are taken at once, then each block's are summed by one
+        reduction over its contiguous slice: the pairwise sum np.sum(b * b)
+        runs, so the weights keep their bits.
+        """
+        squares = self.values * self.values
+        return {lam: float(np.add.reduce(squares[start:stop]))
+                for lam, start, stop, _ in _block_layout(self.n)}
 
     def total_energy(self) -> float:
         return sum(self.energies().values())
@@ -139,14 +149,82 @@ def _fft_plan(n: int):
     return gather, tuple(levels)
 
 
+@lru_cache(maxsize=None)
+def _block_layout(n: int) -> tuple:
+    """(lam, start, stop, d) per block of a degree-n spectrum, in canonical order."""
+    layout, start = [], 0
+    for lam in enumerate_partitions(n):
+        d = irrep_dimension(lam)
+        layout.append((lam, start, start + d * d, d))
+        start += d * d
+    return tuple(layout)
+
+
+class _Program:
+    """The coset recursion of `_fft_plan`, unrolled over two n!-long buffers.
+
+    Level 1 is the gathered input; level k = 2..n fills buffer (k - 1) % 2
+    with, per partition lam of k in canonical order, its transposed blocks of
+    all n!/k! coset functions as one C-ordered (d, n!/k!, d) array: column,
+    coset, row. levels[k - 2] holds one step per (lam, corner mu) of level k:
+    the level below's mu array seen as (d_mu n!/k!, k d_mu), whose k cosets
+    of S_{k-1} lie side by side; the slab and its transpose; lam's columns
+    lo:hi seen as (d_mu n!/k!, d); the inverse's operand, which at the top
+    level is the transposed view of the block that the scaled spectrum
+    occupies there; and whether the step is the first into mu.
+
+    At the top level, n!/n! = 1 and the arrays are the spectrum's blocks,
+    transposed. blocks holds per block its slice of the spectrum, its top
+    level slice, that slice transposed back as d x d, the same d x d slice
+    of the spare buffer, which the forward fills last, and its unitary and
+    plain inverse factors, sqrt(d/n!) and d/n!.
+    """
+
+    def __init__(self, n: int):
+        fact = math.factorial(n)
+        self.gather, levels = _fft_plan(n)
+        self.buffers = (np.empty(fact), np.empty(fact))
+        self.lock = threading.Lock()
+        self.levels = []
+        starts = [0]  # of each partition's array at the level below
+        for k, batch, level in levels:
+            below, here = self.buffers[k % 2], self.buffers[(k - 1) % 2]
+            steps, here_starts, start, written = [], [], 0, set()
+            for d, slabs in level:
+                here_starts.append(start)
+                for mu, lo, hi, slab, slab_t in slabs:
+                    m = hi - lo
+                    operand = below[starts[mu]:starts[mu] + m * m * batch * k]
+                    output = here[start + lo * batch * d:start + hi * batch * d]
+                    operand = operand.reshape(m * batch, k * m)
+                    output = output.reshape(m * batch, d)
+                    inverse_operand = here[start:start + d * d].reshape(d, d).T[lo:hi] \
+                        if k == n else output
+                    steps.append((operand, slab, slab_t, output, inverse_operand,
+                                  mu not in written))
+                    written.add(mu)
+                start += d * d * batch
+            self.levels.append(tuple(steps))
+            starts = here_starts
+        top, self.spare = self.buffers[(n - 1) % 2], self.buffers[n % 2]
+        self.blocks = tuple(
+            (slice(start, stop), top[start:stop], top[start:stop].reshape(d, d).T,
+             self.spare[start:stop].reshape(d, d), math.sqrt(d / fact), d / fact)
+            for _, start, stop, d in _block_layout(n))
+
+
+@lru_cache(maxsize=None)
+def _program(n: int) -> _Program:
+    return _Program(n)
+
+
 def gft_forward(h, normalization: str = "unitary") -> FourierSpectrum:
     """Forward transform: block_lam = sum_sigma h(sigma) rho_lam(sigma).
 
-    Runs the coset recursion of `_fft_plan`. Level k holds, per partition
-    lam of k, the transposed blocks of all n!/k! coset functions as one
-    (d, n!/k!, d) array: column, coset, row. Each corner mu of lam is then
-    one matrix product of the level below, whose k cosets of S_{k-1} lie
-    side by side, with the transposed slab.
+    Gathers h into the coset order, then runs the program's products level
+    by level, each corner's transposed slab applied to the level below. The
+    spectrum is the top level's blocks transposed back, and scaled under the
+    unitary normalization.
     """
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}")
@@ -154,56 +232,45 @@ def gft_forward(h, normalization: str = "unitary") -> FourierSpectrum:
     n = function_degree(values)
     if not np.all(np.isfinite(values)):
         raise ValueError("function values must be finite")
-    fact = math.factorial(n)
-    gather, levels = _fft_plan(n)
-    prev = [values[gather].reshape(1, fact, 1)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, batch, level in levels:
-            cur = []
-            for d, slabs in level:
-                block = np.empty((d, batch, d))
-                for mu, lo, hi, _, slab_t in slabs:
-                    cosets = prev[mu].reshape((hi - lo) * batch, k * (hi - lo))
-                    np.dot(cosets, slab_t, out=block[lo:hi].reshape(-1, d))
-                cur.append(block)
-            prev = cur
-    spectrum = FourierSpectrum(n, normalization, np.empty(fact))
-    for block, top in zip(spectrum.blocks.values(), prev):
-        block[...] = top[:, 0].T
-        if normalization == "unitary":
-            block *= math.sqrt(len(block) / fact)
-    if not np.isfinite(spectrum.values).all():
+    program = _program(n)
+    unitary = normalization == "unitary"
+    with program.lock, np.errstate(over="ignore", invalid="ignore"):
+        # the gather is in range; under the default mode, take copies via a temporary
+        np.take(values, program.gather, out=program.buffers[0], mode="clip")
+        for steps in program.levels:
+            for operand, _, slab_t, output, _, _ in steps:
+                np.dot(operand, slab_t, out=output)
+        for _, _, top_t, spare, scale, _ in program.blocks:
+            np.multiply(top_t, scale if unitary else 1.0, out=spare)
+        out = program.spare.copy()
+    if not np.isfinite(out).all():
         raise ValueError("the transform overflowed double range")
-    return spectrum
+    return FourierSpectrum(n, normalization, out)
 
 
 def gft_inverse(spectrum: FourierSpectrum) -> np.ndarray:
     """Inverse transform back to a rank-indexed array; exact round-trip.
 
-    The forward recursion run backwards with the slabs untransposed: for
-    sigma = c_j pi, sum_ab rho(sigma)_ab G_ab splits over the corners mu
-    into the mu blocks of rho(c_j)^T G paired with rho_mu(pi).
+    The forward program run level by level backwards with the slabs
+    untransposed: for sigma = c_j pi, sum_ab rho(sigma)_ab G_ab splits over
+    the corners mu into the mu blocks of rho(c_j)^T G paired with
+    rho_mu(pi). The first corner into mu writes its array, and later ones
+    add to it.
     """
-    n = spectrum.n
-    fact = math.factorial(n)
-    gather, levels = _fft_plan(n)
-    cur = []
-    for block in spectrum.blocks.values():
-        d = len(block)
-        scale = d / fact if spectrum.normalization == "plain" else math.sqrt(d / fact)
-        cur.append(scale * block.T[:, None])
-    for k, _, level in reversed(levels):
-        prev = [None] * len(enumerate_partitions(k - 1))
-        for block, (d, slabs) in zip(cur, level):
-            for mu, lo, hi, slab, _ in slabs:
-                part = np.dot(block[lo:hi].reshape(-1, d), slab)
-                if prev[mu] is None:
-                    prev[mu] = part.reshape(hi - lo, -1, hi - lo)
+    program = _program(spectrum.n)
+    unitary = spectrum.normalization == "unitary"
+    with program.lock:
+        for span, top, _, _, unitary_scale, plain_scale in program.blocks:
+            np.multiply(spectrum.values[span], unitary_scale if unitary else plain_scale,
+                        out=top)
+        for steps in reversed(program.levels):
+            for operand, slab, _, _, inverse_operand, first in steps:
+                if first:
+                    np.dot(inverse_operand, slab, out=operand)
                 else:
-                    prev[mu] += part.reshape(prev[mu].shape)
-        cur = prev
-    out = np.empty(fact)
-    out[gather] = cur[0].ravel()
+                    operand += np.dot(inverse_operand, slab)
+        out = np.empty(len(spectrum.values))
+        out[program.gather] = program.buffers[0]
     return out
 
 

@@ -5,7 +5,10 @@ no shared code with the library's fast paths. Tests compare library output
 against these. The dense Fourier routes read the library's irrep stacks, the
 O((n!)^2) construction that the coset-recursion transform replaces, and
 yor_generator reads the library's generator data, so its tests pin that data;
-generator_data_from_tableaux builds that data the naive way.
+generator_data_from_tableaux builds that data the naive way. The recursive
+transforms run the library's FFT plan level by level with fresh arrays, as
+the library did before it unrolled the recursion into a program; they pin
+the program's bits.
 """
 
 import itertools
@@ -18,7 +21,8 @@ import numpy as np
 from snfourier.errors import check_degree
 from snfourier.partitions import enumerate_partitions, irrep_dimension
 from snfourier.perms import Permutation
-from snfourier.transform import FourierSpectrum, function_degree
+from snfourier.transform import NORMALIZATIONS, FourierSpectrum, _fft_plan, \
+    function_degree
 from snfourier.yor import _generator_data, irrep_stack, standard_tableaux
 
 
@@ -227,6 +231,66 @@ def dense_gft_inverse(spectrum):
         traces = irrep_stack(n, lam).reshape(fact, d * d) @ block.ravel()
         scale = d / fact if spectrum.normalization == "plain" else math.sqrt(d / fact)
         out += scale * traces
+    return out
+
+
+def recursive_gft_forward(h, normalization="unitary"):
+    """Forward transform by the coset recursion of `_fft_plan`, one fresh
+    (d, n!/k!, d) array per partition of each level k: column, coset, row.
+    Each corner mu of lam is one matrix product of the level below, whose k
+    cosets of S_{k-1} lie side by side, with the transposed slab."""
+    if normalization not in NORMALIZATIONS:
+        raise ValueError(f"unknown normalization {normalization!r}")
+    values = np.ascontiguousarray(h, dtype=np.float64)
+    n = function_degree(values)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("function values must be finite")
+    fact = math.factorial(n)
+    gather, levels = _fft_plan(n)
+    prev = [values[gather].reshape(1, fact, 1)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, batch, level in levels:
+            cur = []
+            for d, slabs in level:
+                block = np.empty((d, batch, d))
+                for mu, lo, hi, _, slab_t in slabs:
+                    cosets = prev[mu].reshape((hi - lo) * batch, k * (hi - lo))
+                    np.dot(cosets, slab_t, out=block[lo:hi].reshape(-1, d))
+                cur.append(block)
+            prev = cur
+    spectrum = FourierSpectrum(n, normalization, np.empty(fact))
+    for block, top in zip(spectrum.blocks.values(), prev):
+        block[...] = top[:, 0].T
+        if normalization == "unitary":
+            block *= math.sqrt(len(block) / fact)
+    if not np.isfinite(spectrum.values).all():
+        raise ValueError("the transform overflowed double range")
+    return spectrum
+
+
+def recursive_gft_inverse(spectrum):
+    """Inverse transform: the recursion run backwards with the slabs
+    untransposed, each corner's product added into its mu array below."""
+    n = spectrum.n
+    fact = math.factorial(n)
+    gather, levels = _fft_plan(n)
+    cur = []
+    for block in spectrum.blocks.values():
+        d = len(block)
+        scale = d / fact if spectrum.normalization == "plain" else math.sqrt(d / fact)
+        cur.append(scale * block.T[:, None])
+    for k, _, level in reversed(levels):
+        prev = [None] * len(enumerate_partitions(k - 1))
+        for block, (d, slabs) in zip(cur, level):
+            for mu, lo, hi, slab, _ in slabs:
+                part = np.dot(block[lo:hi].reshape(-1, d), slab)
+                if prev[mu] is None:
+                    prev[mu] = part.reshape(hi - lo, -1, hi - lo)
+                else:
+                    prev[mu] += part.reshape(prev[mu].shape)
+        cur = prev
+    out = np.empty(fact)
+    out[gather] = cur[0].ravel()
     return out
 
 

@@ -116,6 +116,10 @@ def test_observation_validation():
     ("indices", {"kind": "assignment", "indices": (1.9,), "values": (2,)}),
     ("values", {"kind": "assignment", "indices": (1,), "values": (2.2,)}),
     ("items", {"kind": "ranking", "items": (1, 2.5)}),
+    ("indices", {"kind": "assignment", "indices": (math.inf,), "values": (2,)}),
+    ("values", {"kind": "assignment", "indices": (1,), "values": (None,)}),
+    ("items", {"kind": "ranking", "items": (1, -math.inf)}),
+    ("items", {"kind": "ranking", "items": None}),
 ])
 def test_observation_rejects_non_integral_entries(field, fields):
     with pytest.raises(PlanValidationError) as err:

@@ -36,6 +36,20 @@ def test_step_scales_round_the_exact_eigenvalue_once(p):
                 assert scale.hex() == float(exact).hex()
 
 
+def test_step_scales_are_cached_per_step_and_degree():
+    for p in (0.7123, Fraction(2, 3)):
+        for n, d in ((4, 1), (6, 37), (9, 2)):
+            step = DiffusionStep(p=p, d=d)
+            first = _step_scales(step, n)
+            # an equal step built anew hits the cache, read-only
+            assert _step_scales(DiffusionStep(p=p, d=d), n) is first
+            with pytest.raises(TypeError):
+                first[Partition((n,))] = 0.0
+            fresh = _step_scales.__wrapped__(step, n)
+            assert list(first) == list(fresh)
+            assert [s.hex() for s in first.values()] == [s.hex() for s in fresh.values()]
+
+
 def test_kernel_frozen_n3():
     q = kernel_as_function(DiffusionStep(p=0.4), 3)
     assert np.allclose(q, [0.4, 0.2, 0.2, 0.0, 0.0, 0.2], atol=1e-15)

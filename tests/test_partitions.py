@@ -141,6 +141,17 @@ def test_characters_constant_on_classes():
             assert tr == pytest.approx(character(lam, ctype), abs=1e-9)
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_murnaghan_nakayama_equals_the_representation_trace(n):
+    # the rim-hook rule shares no code with Young's orthogonal form
+    for cls in conjugacy_classes(n):
+        for lam in enumerate_partitions(n):
+            value = character(lam, cls.cycle_type)
+            assert type(value) is int
+            trace = float(np.trace(yor.irrep_of(lam, cls.representative)))
+            assert abs(trace - value) <= 1e-9
+
+
 def test_kronecker_s3_hand_checked():
     two_one = Partition((2, 1))
     for nu, expected in (((3,), 1), ((2, 1), 1), ((1, 1, 1), 1)):

@@ -235,7 +235,8 @@ def test_batch_tables_match_lex_enumeration():
 
 
 def test_permutation_rejects_non_integral_values():
-    for line in ((1.7, 2, 3), (1, 2.0000001, 3), (np.float64(3.5), 1, 2)):
+    for line in ((1.7, 2, 3), (1, 2.0000001, 3), (np.float64(3.5), 1, 2), (1, math.inf, 3),
+                 (-math.inf, 2, 3), (None, 2, 1), None, ("x", 1, 2)):
         with pytest.raises(ValueError, match="one-line values must be integers"):
             Permutation(line)
     # integral values of any numeric type are still coerced to ints

@@ -394,6 +394,13 @@ DATASET_N4 = tuple(((2, 1, 3, 4), 1 + i) for i in range(6))
      "one-line values must be integers, got (1.9, 2, 3, 4)"),
     ((("2", "1", "3", "4"), 2), "dataset[3].one_line",
      "one-line values must be integers, got ('2', '1', '3', '4')"),
+    (((2, 1, math.inf, 4), 2), "dataset[3].one_line",
+     "one-line values must be integers, got (2, 1, inf, 4)"),
+    (((2, None, 3, 4), 2), "dataset[3].one_line",
+     "one-line values must be integers, got (2, None, 3, 4)"),
+    ((None, 2), "dataset[3].one_line", "one-line values must be integers, got None"),
+    (((2, 1, 3, 4), math.inf), "dataset[3].count", "count must be an integer in 1..2**53"),
+    (((2, 1, 3, 4), None), "dataset[3].count", "count must be an integer in 1..2**53"),
 ])
 @pytest.mark.parametrize("tail", [(), (((4, 3, 2, 1), 0),)], ids=["alone", "then-bad-count"])
 def test_empirical_initial_names_the_first_bad_entry(entry, field, message, tail):

@@ -2,6 +2,8 @@
 cross-checked against the dense routes it replaced."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ import oracles
 from snfourier.errors import DegreeGuardError
 from snfourier.partitions import Partition, enumerate_partitions, irrep_dimension
 from snfourier.perms import Permutation
-from snfourier.transform import FourierSpectrum, _fft_plan, convolve, convolve_spectra, \
-    function_degree, gft_forward, gft_inverse, left_shift
+from snfourier.transform import FourierSpectrum, _fft_plan, _program, convolve, \
+    convolve_spectra, function_degree, gft_forward, gft_inverse, left_shift
 from snfourier.yor import irrep_of
 
 RNG = np.random.default_rng(11)
@@ -139,6 +141,91 @@ def test_fft_matches_dense_oracle(n):
             lam: RNG.standard_normal((irrep_dimension(lam),) * 2)
             for lam in enumerate_partitions(n)})
         assert np.max(np.abs(gft_inverse(spec) - oracles.dense_gft_inverse(spec))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_program_is_bit_equal_to_the_recursion(n):
+    fact = math.factorial(n)
+    for _ in range(2):
+        h = RNG.standard_normal(fact) * 10.0 ** RNG.uniform(-3, 3)
+        for norm in ("plain", "unitary"):
+            fast = gft_forward(h, norm)
+            slow = oracles.recursive_gft_forward(h, norm)
+            assert np.array_equal(fast.values, slow.values)
+            assert np.array_equal(gft_inverse(fast), oracles.recursive_gft_inverse(slow))
+            # an arbitrary spectrum, not one the forward transform produced
+            spec = FourierSpectrum(n, norm, RNG.standard_normal(fact))
+            assert np.array_equal(gft_inverse(spec), oracles.recursive_gft_inverse(spec))
+            # blocks and energies from the cached layout, against a fresh walk
+            expected, start = {}, 0
+            for lam in enumerate_partitions(n):
+                d = irrep_dimension(lam)
+                expected[lam] = slow.values[start:start + d * d].reshape(d, d)
+                start += d * d
+            blocks = fast.blocks
+            assert list(blocks) == list(expected)
+            assert all(np.array_equal(blocks[lam], b) for lam, b in expected.items())
+            assert fast.energies() == {lam: float(np.sum(b * b)) for lam, b in expected.items()}
+            rebuilt = oracles.spectrum_from_blocks(n, norm, blocks)
+            assert np.array_equal(rebuilt.values, fast.values)
+
+
+def test_transforms_neither_alias_nor_write_their_operands():
+    h = RNG.standard_normal(720)
+    h.setflags(write=False)  # a write into the input would raise
+    spec = gft_forward(h, "plain")
+    spec.values.setflags(write=False)
+    back = gft_inverse(spec)
+    kept_spec, kept_back = spec.values.copy(), back.copy()
+    for buffer in _program(6).buffers:
+        assert not np.shares_memory(spec.values, buffer)
+        assert not np.shares_memory(back, buffer)
+    # later calls at this degree and at others reuse the program buffers
+    for n in (6, 5, 7, 6):
+        for norm in ("plain", "unitary"):
+            other = RNG.standard_normal(math.factorial(n))
+            gft_inverse(gft_forward(other, norm))
+            gft_inverse(FourierSpectrum(n, norm, other))
+    assert np.array_equal(spec.values, kept_spec)
+    assert np.array_equal(back, kept_back)
+
+
+def test_concurrent_transforms_get_the_recursions_bits():
+    # more threads than cores, each on its own input, at one degree's program
+    n = 6
+    inputs = [RNG.standard_normal(math.factorial(n)) for _ in range(4)]
+    expected = []
+    for h in inputs:
+        spec = oracles.recursive_gft_forward(h)
+        expected.append((spec.values, oracles.recursive_gft_inverse(spec)))
+    start = threading.Barrier(len(inputs))
+    done, wrong = [], []
+
+    def transform_repeatedly(i):
+        start.wait()
+        for _ in range(200):
+            spec = gft_forward(inputs[i])
+            back = gft_inverse(spec)
+            if not (np.array_equal(spec.values, expected[i][0])
+                    and np.array_equal(back, expected[i][1])):
+                wrong.append(i)
+                return
+        done.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+    try:
+        threads = [threading.Thread(target=transform_repeatedly, args=(i,))
+                   for i in range(len(inputs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert sorted(done) == list(range(len(inputs)))
 
 
 @pytest.mark.parametrize("n", range(1, 10))
