@@ -18,8 +18,7 @@ from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
-from .errors import AnnihilatedStateError, DegreeGuardError, PlanValidationError, \
-    check_degree
+from .errors import AnnihilatedStateError, DegreeGuardError, check_degree
 from .pipeline import run_plan, sample_computational, sample_fourier
 from .serialize import (
     fourier_distribution_to_csv,
@@ -161,9 +160,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except PlanValidationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except DegreeGuardError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

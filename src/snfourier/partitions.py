@@ -11,12 +11,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import check_degree
-
-if TYPE_CHECKING:
-    from .perms import Permutation
 
 
 @dataclass(frozen=True)
@@ -113,36 +110,17 @@ def _class_size(n: int, cycle_type: tuple[int, ...]) -> int:
     return size
 
 
-def _class_representative(n: int, cycle_type: tuple[int, ...]):
-    # consecutive blocks: cycle type (3,2) on n=5 -> (2,3,1,5,4)
-    one_line = []
-    start = 1
-    for k in cycle_type:
-        block = list(range(start + 1, start + k)) + [start]
-        one_line.extend(block)
-        start += k
-    from .perms import Permutation
-
-    return Permutation(tuple(one_line))
-
-
 class ConjugacyClass(NamedTuple):
     cycle_type: Partition
     size: int
-    representative: "Permutation"
 
 
 @lru_cache(maxsize=None)
 def conjugacy_classes(n: int) -> tuple[ConjugacyClass, ...]:
     """One record per class, cycle types in reverse lexicographic order."""
     check_degree(n)
-    out = []
-    for lam in enumerate_partitions(n):
-        ctype = lam.parts
-        out.append(
-            ConjugacyClass(lam, _class_size(n, ctype), _class_representative(n, ctype))
-        )
-    return tuple(out)
+    return tuple(ConjugacyClass(lam, _class_size(n, lam.parts))
+                 for lam in enumerate_partitions(n))
 
 
 @lru_cache(maxsize=None)
@@ -181,7 +159,6 @@ def kronecker_multiplicity(lam: Partition, mu: Partition, nu: Partition) -> int:
     n = lam.weight
     if mu.weight != n or nu.weight != n:
         raise ValueError("all three partitions must share the same weight")
-    check_degree(n, guard=8)
     total = Fraction(0)
     for cls in conjugacy_classes(n):
         ctype = cls.cycle_type

@@ -316,8 +316,6 @@ def _write_json(obj) -> str:
             for key, value in obj.items()
         )
         return "{" + body + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(_write_json(value) for value in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

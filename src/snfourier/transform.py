@@ -125,31 +125,6 @@ def delta_spectrum(n: int, normalization: str = "unitary") -> FourierSpectrum:
 
 
 @lru_cache(maxsize=None)
-def _fft_plan(n: int):
-    """Rank gather and per-level coset slabs of the degree-n FFT.
-
-    Position x = (j_n, ..., j_2) in mixed radix, j_n most significant, holds
-    sigma = c^(n)_{j_n} ... c^(2)_{j_2}, where c^(k)_j sends k to j+1; the
-    gather maps x to the Lehmer rank of that sigma. As j_k = #{i < k :
-    sigma(i) < sigma(k)}, x is the rank of sigma's one-line form reversed.
-    Level k = 2..n holds the count n!/k! of S_k cosets and, per partition
-    lam of k in canonical order, its dimension and slabs.
-    """
-    position = encode_batch(all_one_lines(n)[:, ::-1])
-    gather = np.empty_like(position)
-    gather[position] = np.arange(len(position))
-    gather.setflags(write=False)
-    levels = []
-    for k in range(2, n + 1):
-        previous = enumerate_partitions(k - 1)
-        levels.append((k, math.factorial(n) // math.factorial(k), tuple(
-            (irrep_dimension(lam), coset_slabs(lam, previous))
-            for lam in enumerate_partitions(k)
-        )))
-    return gather, tuple(levels)
-
-
-@lru_cache(maxsize=None)
 def _block_layout(n: int) -> tuple:
     """(lam, start, stop, d) per block of a degree-n spectrum, in canonical order."""
     layout, start = [], 0
@@ -161,7 +136,12 @@ def _block_layout(n: int) -> tuple:
 
 
 class _Program:
-    """The coset recursion of `_fft_plan`, unrolled over two n!-long buffers.
+    """Clausen's coset recursion, unrolled over two n!-long buffers.
+
+    Position x = (j_n, ..., j_2) in mixed radix, j_n most significant, holds
+    sigma = c^(n)_{j_n} ... c^(2)_{j_2}, where c^(k)_j sends k to j+1; the
+    gather maps x to the Lehmer rank of that sigma. As j_k = #{i < k :
+    sigma(i) < sigma(k)}, x is the rank of sigma's one-line form reversed.
 
     Level 1 is the gathered input; level k = 2..n fills buffer (k - 1) % 2
     with, per partition lam of k in canonical order, its transposed blocks of
@@ -182,17 +162,22 @@ class _Program:
 
     def __init__(self, n: int):
         fact = math.factorial(n)
-        self.gather, levels = _fft_plan(n)
+        position = encode_batch(all_one_lines(n)[:, ::-1])
+        self.gather = np.empty_like(position)
+        self.gather[position] = np.arange(fact)
+        self.gather.setflags(write=False)
         self.buffers = (np.empty(fact), np.empty(fact))
         self.lock = threading.Lock()
         self.levels = []
         starts = [0]  # of each partition's array at the level below
-        for k, batch, level in levels:
+        for k in range(2, n + 1):
+            batch, previous = fact // math.factorial(k), enumerate_partitions(k - 1)
             below, here = self.buffers[k % 2], self.buffers[(k - 1) % 2]
             steps, here_starts, start, written = [], [], 0, set()
-            for d, slabs in level:
+            for lam in enumerate_partitions(k):
+                d = irrep_dimension(lam)
                 here_starts.append(start)
-                for mu, lo, hi, slab, slab_t in slabs:
+                for mu, lo, hi, slab, slab_t in coset_slabs(lam, previous):
                     m = hi - lo
                     operand = below[starts[mu]:starts[mu] + m * m * batch * k]
                     output = here[start + lo * batch * d:start + hi * batch * d]

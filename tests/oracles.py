@@ -6,9 +6,10 @@ against these. The dense Fourier routes read the library's irrep stacks, the
 O((n!)^2) construction that the coset-recursion transform replaces, and
 yor_generator reads the library's generator data, so its tests pin that data;
 generator_data_from_tableaux builds that data the naive way. The recursive
-transforms run the library's FFT plan level by level with fresh arrays, as
-the library did before it unrolled the recursion into a program; they pin
-the program's bits.
+transforms run the library's coset slabs level by level with fresh arrays,
+as the library did before it unrolled the recursion into a program, from
+the coset order that coset_order_gather builds the naive way; they pin the
+program's bits and its gather.
 """
 
 import itertools
@@ -21,9 +22,8 @@ import numpy as np
 from snfourier.errors import check_degree
 from snfourier.partitions import enumerate_partitions, irrep_dimension
 from snfourier.perms import Permutation
-from snfourier.transform import NORMALIZATIONS, FourierSpectrum, _fft_plan, \
-    function_degree
-from snfourier.yor import _generator_data, irrep_stack, standard_tableaux
+from snfourier.transform import NORMALIZATIONS, FourierSpectrum, function_degree
+from snfourier.yor import _generator_data, coset_slabs, irrep_stack, standard_tableaux
 
 
 def all_perms_lex(n):
@@ -234,11 +234,19 @@ def dense_gft_inverse(spectrum):
     return out
 
 
+def recursion_levels(n):
+    """(k, n!/k!, ((d_lam, coset slabs of lam) per partition lam of k))
+    for each level k = 2..n of the coset recursion."""
+    return [(k, math.factorial(n) // math.factorial(k), [
+        (irrep_dimension(lam), coset_slabs(lam, enumerate_partitions(k - 1)))
+        for lam in enumerate_partitions(k)]) for k in range(2, n + 1)]
+
+
 def recursive_gft_forward(h, normalization="unitary"):
-    """Forward transform by the coset recursion of `_fft_plan`, one fresh
-    (d, n!/k!, d) array per partition of each level k: column, coset, row.
-    Each corner mu of lam is one matrix product of the level below, whose k
-    cosets of S_{k-1} lie side by side, with the transposed slab."""
+    """Forward transform by the coset recursion, one fresh (d, n!/k!, d)
+    array per partition of each level k: column, coset, row. Each corner mu
+    of lam is one matrix product of the level below, whose k cosets of
+    S_{k-1} lie side by side, with the transposed slab."""
     if normalization not in NORMALIZATIONS:
         raise ValueError(f"unknown normalization {normalization!r}")
     values = np.ascontiguousarray(h, dtype=np.float64)
@@ -246,10 +254,9 @@ def recursive_gft_forward(h, normalization="unitary"):
     if not np.all(np.isfinite(values)):
         raise ValueError("function values must be finite")
     fact = math.factorial(n)
-    gather, levels = _fft_plan(n)
-    prev = [values[gather].reshape(1, fact, 1)]
+    prev = [values[coset_order_gather(n)].reshape(1, fact, 1)]
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, batch, level in levels:
+        for k, batch, level in recursion_levels(n):
             cur = []
             for d, slabs in level:
                 block = np.empty((d, batch, d))
@@ -273,13 +280,12 @@ def recursive_gft_inverse(spectrum):
     untransposed, each corner's product added into its mu array below."""
     n = spectrum.n
     fact = math.factorial(n)
-    gather, levels = _fft_plan(n)
     cur = []
     for block in spectrum.blocks.values():
         d = len(block)
         scale = d / fact if spectrum.normalization == "plain" else math.sqrt(d / fact)
         cur.append(scale * block.T[:, None])
-    for k, _, level in reversed(levels):
+    for k, _, level in reversed(recursion_levels(n)):
         prev = [None] * len(enumerate_partitions(k - 1))
         for block, (d, slabs) in zip(cur, level):
             for mu, lo, hi, slab, _ in slabs:
@@ -290,7 +296,7 @@ def recursive_gft_inverse(spectrum):
                     prev[mu] += part.reshape(prev[mu].shape)
         cur = prev
     out = np.empty(fact)
-    out[gather] = cur[0].ravel()
+    out[coset_order_gather(n)] = cur[0].ravel()
     return out
 
 

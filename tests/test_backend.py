@@ -10,7 +10,7 @@ from snfourier import _backend
 from snfourier.partitions import enumerate_partitions
 from snfourier.perms import Permutation, all_one_lines, encode_batch, \
     ranks_after_sequence
-from snfourier.transform import _fft_plan, convolve
+from snfourier.transform import _program, convolve
 from snfourier.yor import irrep_of, irrep_stack
 
 RNG = np.random.default_rng(41)
@@ -54,7 +54,7 @@ def test_encode_batch_ranks_the_table_in_order():
 
 
 def test_encode_batch_ranks_the_reversed_table_as_weighted_digits():
-    # the FFT plan ranks the table read backwards; a rank is, by definition,
+    # the FFT program ranks the table read backwards; a rank is, by definition,
     # the sum of each slot's count of smaller later values times (n-1-i)!
     for n in range(1, 10):
         rows = np.asarray(all_one_lines(n)[:, ::-1], dtype=np.int64)
@@ -108,11 +108,11 @@ def test_all_perms0_matches_lex_order():
 
 
 def test_production_builds_one_permutation_table():
-    # the FFT plan ranks the 1-based table; the 0-based one is derived on demand
-    for cached in (all_one_lines, _backend.all_perms0, _fft_plan):
+    # the FFT program ranks the 1-based table; the 0-based one is derived on demand
+    for cached in (all_one_lines, _backend.all_perms0, _program):
         cached.cache_clear()
     all_one_lines(6)
-    _fft_plan(6)
+    _program(6)
     assert _backend.all_perms0.cache_info().misses == 0
 
 

@@ -1,7 +1,7 @@
 """Census: every function in src/ is reached by a CLI command or `verify`.
 
 A call-level tracer runs `cli.main` over small plans that take every branch
-of the commands, in a fresh process so that no cached table or FFT plan is
+of the commands, in a fresh process so that no cached table or FFT program is
 already built. A module-level function or method of `snfourier` that no
 command reaches must be one that perfbench/spans.py patches by name (it
 becomes deletable when that monkeypatch goes) or one that an acceptance
@@ -33,7 +33,7 @@ ACCEPTANCE_ONLY = {
     "13 Kronecker multiplicities": (
         "snfourier.partitions.kronecker_multiplicity",
         "snfourier.partitions.conjugacy_classes", "snfourier.partitions.character",
-        "snfourier.partitions._class_size", "snfourier.partitions._class_representative"),
+        "snfourier.partitions._class_size"),
 }
 
 # Runs each argv through cli.main under sys.settrace, then prints one JSON

@@ -319,3 +319,22 @@ def test_conditioning_breaks_left_equivariance():
             found = True
             break
     assert found
+
+
+# per check: the call, its exception type and a fragment of its message
+INPUT_CHECKS = {
+    "assignment-with-items": (lambda: Observation("assignment", items=(1, 2)),
+                              PlanValidationError, "items: assignments take no items"),
+    "bayes_update-lines": (
+        lambda: bayes_update(uniform_amplitudes(3), Observation("ranking", items=(1, 2)),
+                             lines=all_one_lines(3)[:3]),
+        ValueError, "6 values do not line up with 3 rows"),
+}
+
+
+@pytest.mark.parametrize("call, error, fragment", INPUT_CHECKS.values(),
+                         ids=INPUT_CHECKS.keys())
+def test_input_checks_raise(call, error, fragment):
+    with pytest.raises(error) as err:
+        call()
+    assert err.type is error and fragment in str(err.value)

@@ -306,3 +306,19 @@ def test_markov_matrix_route():
     big_q = oracles.markov_matrix_oracle(n, q)
     assert np.allclose(big_q @ h, convolve(q, h), atol=1e-12)
     assert np.allclose(big_q.sum(axis=0), np.ones(6), atol=1e-12)
+
+
+# per check: the call, its exception type and a fragment of its message
+INPUT_CHECKS = {
+    "t0-degree": (lambda: success_probability_t0(1, 0.5), ValueError, "needs n >= 2"),
+    "lower_bound-degree": (lambda: success_probability_lower_bound(1, 0.5, 1),
+                           ValueError, "needs n >= 2 and d >= 1"),
+}
+
+
+@pytest.mark.parametrize("call, error, fragment", INPUT_CHECKS.values(),
+                         ids=INPUT_CHECKS.keys())
+def test_input_checks_raise(call, error, fragment):
+    with pytest.raises(error) as err:
+        call()
+    assert err.type is error and fragment in str(err.value)

@@ -9,7 +9,7 @@ import pytest
 import oracles
 from snfourier.conditioning import Observation, bayes_update, reorder_update_condition
 from snfourier.diffusion import DiffusionStep, apply_diffusion_spectral
-from snfourier.errors import AnnihilatedStateError, DegreeGuardError
+from snfourier.errors import AnnihilatedStateError, DegreeGuardError, check_degree
 from snfourier.perms import Permutation
 from snfourier.pipeline import ModelState, sharpen_map, state_prep_unitary
 from snfourier.transform import function_degree, gft_forward, left_shift
@@ -134,3 +134,17 @@ def test_diffusion_leaves_its_input_spectrum_unchanged():
     out, _ = apply_diffusion_spectral(spectrum, DiffusionStep(p=0.7, d=3))
     assert spectrum.values.tobytes() == before
     assert not np.shares_memory(out.values, spectrum.values)
+
+
+# per check: the call, its exception type and a fragment of its message
+INPUT_CHECKS = {
+    "check_degree-zero": (lambda: check_degree(0), ValueError, "degree must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("call, error, fragment", INPUT_CHECKS.values(),
+                         ids=INPUT_CHECKS.keys())
+def test_input_checks_raise(call, error, fragment):
+    with pytest.raises(error) as err:
+        call()
+    assert err.type is error and fragment in str(err.value)

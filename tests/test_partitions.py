@@ -1,5 +1,6 @@
 """Partition combinatorics, dimensions, characters, Kronecker multiplicities."""
 
+import ast
 import itertools
 import math
 from fractions import Fraction
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
+import snfourier.partitions
 import snfourier.yor as yor
 from snfourier.errors import DegreeGuardError
 from snfourier.perms import Permutation
@@ -121,8 +123,6 @@ def test_conjugacy_classes():
         classes = conjugacy_classes(n)
         assert len(classes) == len(enumerate_partitions(n))
         assert sum(c.size for c in classes) == math.factorial(n)
-        for c in classes:
-            assert oracles.cycle_type(c.representative.one_line) == c.cycle_type.parts
 
 
 def test_character_table_s3():
@@ -144,11 +144,15 @@ def test_characters_constant_on_classes():
 @pytest.mark.parametrize("n", range(1, 8))
 def test_murnaghan_nakayama_equals_the_representation_trace(n):
     # the rim-hook rule shares no code with Young's orthogonal form
+    members = {}  # one member of each class, by its cycle type
+    for one_line in oracles.all_perms_lex(n):
+        members.setdefault(oracles.cycle_type(one_line), one_line)
     for cls in conjugacy_classes(n):
+        member = Permutation(members[cls.cycle_type.parts])
         for lam in enumerate_partitions(n):
             value = character(lam, cls.cycle_type)
             assert type(value) is int
-            trace = float(np.trace(yor.irrep_of(lam, cls.representative)))
+            trace = float(np.trace(yor.irrep_of(lam, member)))
             assert abs(trace - value) <= 1e-9
 
 
@@ -189,5 +193,45 @@ def test_kronecker_guard_and_mismatch():
     with pytest.raises(ValueError):
         kronecker_multiplicity(Partition((2, 1)), Partition((4,)), Partition((3,)))
     with pytest.raises(DegreeGuardError):
-        big = Partition((9,))
+        big = Partition((10,))
         kronecker_multiplicity(big, big, big)
+
+
+def test_kronecker_with_trivial_is_delta_at_the_degree_guard():
+    triv, mu = Partition((9,)), Partition((4, 3, 2))
+    for nu in enumerate_partitions(9):
+        assert kronecker_multiplicity(triv, mu, nu) == int(nu == mu)
+
+
+# per check: the call, its exception type and a fragment of its message
+INPUT_CHECKS = {
+    "partition-empty": (lambda: Partition(()), ValueError, "partition needs at least one part"),
+    "enumerate-zero": (lambda: enumerate_partitions(0), ValueError, "n must be positive, got 0"),
+    "character-weight": (lambda: character(Partition((2, 1)), Partition((2,))),
+                         ValueError, "cycle type and partition weigh different n"),
+}
+
+
+@pytest.mark.parametrize("call, error, fragment", INPUT_CHECKS.values(),
+                         ids=INPUT_CHECKS.keys())
+def test_input_checks_raise(call, error, fragment):
+    with pytest.raises(error) as err:
+        call()
+    assert err.type is error and fragment in str(err.value)
+
+
+def test_partitions_imports_no_package_module_but_errors():
+    # the representation data stays a leaf: every other module may import it
+    with open(snfourier.partitions.__file__, encoding="utf-8") as source:
+        tree = ast.parse(source.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported.update([node.module] if node.module else
+                            [alias.name for alias in node.names])
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("snfourier"):
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names
+                            if alias.name.startswith("snfourier"))
+    assert imported == {"errors"}

@@ -254,3 +254,24 @@ def test_permutation_validation():
         LehmerCode((3, 0, 0))  # slot 1 of n=3 allows at most 2
     with pytest.raises(ValueError):
         LehmerCode((0, 0, 1))  # last digit must be 0
+
+
+# per check: the call, its exception type and a fragment of its message
+INPUT_CHECKS = {
+    "compose-degree": (lambda: compose(Permutation((2, 1)), Permutation((1, 3, 2))),
+                       ValueError, "degree mismatch"),
+    "adjacent_transposition-k": (lambda: adjacent_transposition(3, 3),
+                                 ValueError, "k must be in 1..2, got 3"),
+    "adjacent_update-k": (lambda: adjacent_update(LehmerCode((0, 0, 0)), 0),
+                          ValueError, "k must be in 1..2, got 0"),
+    "lehmer_unrank-rank": (lambda: lehmer_unrank(6, 3),
+                           ValueError, "rank 6 out of range for n=3"),
+}
+
+
+@pytest.mark.parametrize("call, error, fragment", INPUT_CHECKS.values(),
+                         ids=INPUT_CHECKS.keys())
+def test_input_checks_raise(call, error, fragment):
+    with pytest.raises(error) as err:
+        call()
+    assert err.type is error and fragment in str(err.value)

@@ -622,3 +622,26 @@ def test_block_encoding_guard():
     # the identity prepares the same state without state_prep_unitary's guard
     with pytest.raises(DegreeGuardError):
         verify_posterior_block_encoding(np.eye(math.factorial(5)))
+
+
+# per check: the call, its exception type and a fragment of its message
+INPUT_CHECKS = {
+    "empirical-empty": (lambda: EmpiricalInitial(()), PlanValidationError,
+                        "dataset: empirical dataset must not be empty"),
+    "plan-unknown-step": (lambda: ExperimentPlan(n=3, steps=("walk",)),
+                          PlanValidationError, "steps[0]: unknown step 'walk'"),
+    "amplification-delta": (lambda: amplification_cost(0.5, "fixed_point", delta=1.0),
+                            ValueError, "tolerance must lie in (0, 1), got 1.0"),
+    "sharpen-exponent": (lambda: sharpen_map(delta_state(3), 0),
+                         ValueError, "exponent must be a positive integer, got 0"),
+    "block-encoding-square": (lambda: verify_posterior_block_encoding(np.ones((6, 2))),
+                              ValueError, "state preparation must be a square matrix"),
+}
+
+
+@pytest.mark.parametrize("call, error, fragment", INPUT_CHECKS.values(),
+                         ids=INPUT_CHECKS.keys())
+def test_input_checks_raise(call, error, fragment):
+    with pytest.raises(error) as err:
+        call()
+    assert err.type is error and fragment in str(err.value)

@@ -27,6 +27,7 @@ from snfourier.serialize import (
     _CHUNK,
     _chunks,
     _float_rows,
+    _write_json,
     format_float,
     function_from_csv,
     ledger_to_jsonl,
@@ -629,3 +630,21 @@ def test_json_floats_use_17_significant_digits():
     _, report = run_plan(plan)
     assert format_float(1 / 3) in ledger_to_jsonl(report.ledger)
     assert format_float(report.p_total) in report_to_json(plan, report)
+
+
+# per check: the call, its exception type and a fragment of its message
+INPUT_CHECKS = {
+    "csv-header": (lambda: function_from_csv("r,v\n0,1\n"),
+                   ValueError, "expected a rank,value header"),
+    "csv-empty": (lambda: function_from_csv(""), ValueError, "expected a rank,value header"),
+    # artifacts hold dicts of scalars, so a sequence is not written
+    "json-list": (lambda: _write_json({"ranks": [0, 1]}), TypeError, "cannot serialize list"),
+}
+
+
+@pytest.mark.parametrize("call, error, fragment", INPUT_CHECKS.values(),
+                         ids=INPUT_CHECKS.keys())
+def test_input_checks_raise(call, error, fragment):
+    with pytest.raises(error) as err:
+        call()
+    assert err.type is error and fragment in str(err.value)

@@ -12,7 +12,7 @@ import oracles
 from snfourier.errors import DegreeGuardError
 from snfourier.partitions import Partition, enumerate_partitions, irrep_dimension
 from snfourier.perms import Permutation
-from snfourier.transform import FourierSpectrum, _fft_plan, _program, convolve, \
+from snfourier.transform import FourierSpectrum, _program, convolve, \
     convolve_spectra, function_degree, gft_forward, gft_inverse, left_shift
 from snfourier.yor import irrep_of
 
@@ -230,7 +230,7 @@ def test_concurrent_transforms_get_the_recursions_bits():
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_fft_gather_is_the_coset_order(n):
-    assert np.array_equal(_fft_plan(n)[0], oracles.coset_order_gather(n))
+    assert np.array_equal(_program(n).gather, oracles.coset_order_gather(n))
 
 
 @pytest.mark.parametrize("n", [8, 9])
@@ -375,3 +375,31 @@ def test_first_order_marginals_live_in_two_blocks():
               for lam, b in spec.blocks.items()}
     projected = gft_inverse(oracles.spectrum_from_blocks(n, "unitary", blocks))
     assert np.allclose(marginal_matrix(projected, n), full, atol=1e-10)
+
+
+def _spectrum(n, normalization="plain"):
+    return FourierSpectrum(n, normalization, np.zeros(math.factorial(n)))
+
+
+# per check: the call, its exception type and a fragment of its message
+INPUT_CHECKS = {
+    "gft_forward-normalization": (lambda: gft_forward(np.ones(6), "orthonormal"),
+                                  ValueError, "unknown normalization 'orthonormal'"),
+    "convolve-degree": (lambda: convolve(np.ones(6), np.ones(2)),
+                        ValueError, "must share the same degree"),
+    "convolve_spectra-degree": (lambda: convolve_spectra(_spectrum(3), _spectrum(2)),
+                                ValueError, "spectra must share the same degree"),
+    "convolve_spectra-normalization": (
+        lambda: convolve_spectra(_spectrum(3), _spectrum(3, "unitary")),
+        ValueError, "spectra must share the same normalization"),
+    "left_shift-degree": (lambda: left_shift(Permutation((2, 1)), np.ones(6)),
+                          ValueError, "shift degree and function degree differ"),
+}
+
+
+@pytest.mark.parametrize("call, error, fragment", INPUT_CHECKS.values(),
+                         ids=INPUT_CHECKS.keys())
+def test_input_checks_raise(call, error, fragment):
+    with pytest.raises(error) as err:
+        call()
+    assert err.type is error and fragment in str(err.value)

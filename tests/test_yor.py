@@ -218,3 +218,20 @@ def test_restriction_is_block_diagonal_bottom_corner_first():
                     lo = hi
                 got = irrep_of(lam, Permutation(line + (k,)))
                 assert np.max(np.abs(got - expected)) <= 1e-14
+
+
+# per check: the call, its exception type and a fragment of its message
+INPUT_CHECKS = {
+    "irrep_of-weight": (lambda: irrep_of(Partition((2, 1)), Permutation((2, 1))),
+                        ValueError, "permutation degree and partition weight differ"),
+    "irrep_stack-weight": (lambda: irrep_stack(4, Partition((2, 1))),
+                           ValueError, "partition weight must equal n"),
+}
+
+
+@pytest.mark.parametrize("call, error, fragment", INPUT_CHECKS.values(),
+                         ids=INPUT_CHECKS.keys())
+def test_input_checks_raise(call, error, fragment):
+    with pytest.raises(error) as err:
+        call()
+    assert err.type is error and fragment in str(err.value)
