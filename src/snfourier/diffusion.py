@@ -15,16 +15,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from types import MappingProxyType
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
 from .errors import PlanValidationError, check_unit_norm, renormalized
-from .partitions import diffusion_eigenvalue, enumerate_partitions, irrep_dimension, \
-    transposition_character_ratio
-from .perms import Permutation, lehmer_encode, lehmer_rank
+from .partitions import diffusion_eigenvalue, enumerate_partitions
+from .perms import all_one_lines
 from .transform import FourierSpectrum
 
 Probability = Union[float, Fraction, int]
@@ -58,16 +55,14 @@ def _check_walk_degree(n: int) -> None:
 
 
 def kernel_as_function(step: DiffusionStep, n: int) -> np.ndarray:
-    """Rank-indexed kernel values: p at e, (1-p)/C(n,2) at transpositions."""
+    """Rank-indexed kernel values: p at e, (1-p)/C(n,2) at the transpositions,
+    the ranks whose one-line form moves exactly two items."""
     _check_walk_degree(n)
-    q = np.zeros(math.factorial(n))
     p = float(step.p)
+    slots = all_one_lines(n).T  # slot-major: row i is slot i of every rank
+    moved = np.sum(slots != np.arange(1, n + 1, dtype=np.uint8)[:, None], axis=0, dtype=np.uint8)
+    q = np.where(moved == 2, (1.0 - p) / math.comb(n, 2), 0.0)
     q[0] = p
-    weight = (1.0 - p) / math.comb(n, 2)
-    for i, j in combinations(range(1, n + 1), 2):
-        line = list(range(1, n + 1))
-        line[i - 1], line[j - 1] = j, i
-        q[lehmer_rank(lehmer_encode(Permutation(tuple(line))))] = weight
     return q
 
 
@@ -83,22 +78,17 @@ def float_power(base, exponent: int):
 
 
 @lru_cache(maxsize=256)
-def _step_scales(step: DiffusionStep, n: int) -> MappingProxyType:
-    """c_lam^d per block, c_lam rounded once from the exact eigenvalue.
+def _step_scales(step: DiffusionStep, n: int) -> tuple:
+    """c_lam^d per partition of n in canonical order, c_lam rounded once.
 
-    With p = num/den and the character ratio a/b, c_lam is
-    (num b + (den - num) a) / (den b); int true division rounds correctly,
-    as float(Fraction) does. Cached read-only per (p, d, n): steps of equal
-    p hash alike whether p is a float, int or Fraction, and give the same
-    num/den. The cache is bounded, as a long-lived caller may meet many p.
+    float(Fraction) rounds the exact eigenvalue correctly. Cached per
+    (p, d, n): steps of equal p hash alike whether p is a float, int or
+    Fraction, and have the same exact eigenvalues. The cache is bounded, as
+    a long-lived caller may meet many p.
     """
     _check_walk_degree(n)
-    num, den = step.p.as_integer_ratio()
-    scales = {}
-    for lam in enumerate_partitions(n):
-        a, b = transposition_character_ratio(lam).as_integer_ratio()
-        scales[lam] = float(float_power((num * b + (den - num) * a) / (den * b), step.d))
-    return MappingProxyType(scales)
+    return tuple(float(float_power(float(step.eigenvalue(lam)), step.d))
+                 for lam in enumerate_partitions(n))
 
 
 def apply_diffusion_spectral(
@@ -111,14 +101,11 @@ def apply_diffusion_spectral(
     """
     if spectrum.normalization != "unitary":
         raise ValueError("diffusion expects a unitary-normalized spectrum")
-    energies = spectrum.energies()
-    check_unit_norm(sum(energies.values()))
+    energies = spectrum.energies().values()
+    check_unit_norm(sum(energies))
     scales = _step_scales(step, spectrum.n)
-    p_s = sum(scales[lam] ** 2 * e for lam, e in energies.items())
-    factors = renormalized(np.array([scales[lam] for lam in energies]), p_s, "diffusion")
-    sizes = [irrep_dimension(lam) ** 2 for lam in energies]
-    return FourierSpectrum(spectrum.n, "unitary",
-                           spectrum.values * np.repeat(factors, sizes)), p_s
+    p_s = sum(c ** 2 * e for c, e in zip(scales, energies))
+    return spectrum.scaled(renormalized(np.array(scales), p_s, "diffusion")), p_s
 
 
 def apply_diffusion_born(

@@ -153,18 +153,16 @@ def character(lam: Partition, cycle_type: Partition) -> int:
 def kronecker_multiplicity(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Multiplicity of nu inside the tensor product of lam and mu.
 
-    Exact class sum (1/n!) sum_C |C| chi_lam chi_mu chi_nu over rational
-    arithmetic; the result is verified to be a nonnegative integer.
+    Exact class sum (1/n!) sum_C |C| chi_lam chi_mu chi_nu in integers; a
+    sum that n! does not divide, or a negative one, raises ArithmeticError.
     """
     n = lam.weight
     if mu.weight != n or nu.weight != n:
         raise ValueError("all three partitions must share the same weight")
-    total = Fraction(0)
-    for cls in conjugacy_classes(n):
-        ctype = cls.cycle_type
-        total += cls.size * character(lam, ctype) * character(mu, ctype) * character(
-            nu, ctype
-        )
-    mult = total / math.factorial(n)
-    assert mult.denominator == 1 and mult >= 0
-    return int(mult)
+    total = sum(cls.size * character(lam, cls.cycle_type) * character(mu, cls.cycle_type)
+                * character(nu, cls.cycle_type) for cls in conjugacy_classes(n))
+    mult, rem = divmod(total, math.factorial(n))
+    if rem or mult < 0:
+        raise ArithmeticError(f"class sum {total}/{math.factorial(n)} for {lam.parts}, "
+                              f"{mu.parts}, {nu.parts} is not a nonnegative integer")
+    return mult

@@ -215,6 +215,8 @@ class AmplificationCost(NamedTuple):
 
 
 _UNDERFLOW_NOTE = "; the positive product underflows double precision"
+# degree cap of the explicit block encoding: W is (n!)^2 x (n!)^2, 1.7 GB at n = 5
+_BLOCK_ENCODING_GUARD = 4
 
 _AMPLIFICATION_NOTES = {
     "grover": "pi/4 prefactor and repeat count are conventions, not tight",
@@ -409,7 +411,7 @@ def state_prep_unitary(psi) -> np.ndarray:
     """Householder reflection carrying the rank-0 basis vector onto psi."""
     target = np.asarray(psi, dtype=np.float64)
     # the reflection is a dense (n!)^2 matrix: 13 GB at n = 8
-    check_degree(function_degree(target), guard=4)
+    check_degree(function_degree(target), guard=_BLOCK_ENCODING_GUARD)
     check_unit_norm(float(np.sum(target * target)))
     diff = target.copy()
     diff[0] -= 1.0
@@ -439,7 +441,7 @@ def verify_posterior_block_encoding(prep: np.ndarray) -> BlockEncodingReport:
         raise ValueError("state preparation must be a square matrix")
     fact = prep.shape[0]
     n = function_degree(prep[:, 0])
-    check_degree(n, guard=4)
+    check_degree(n, guard=_BLOCK_ENCODING_GUARD)
     psi = prep[:, 0]
 
     dim = fact * fact

@@ -5,9 +5,10 @@ rank; the degree is recovered from the length. A spectrum is one array of
 n! = sum_lam d_lam^2 amplitudes in the QFT's (lam, i, j) order: the d x d
 block of each partition, row-major, with partitions in canonical (reverse
 lexicographic) order. This module alone maps blocks to offsets, through one
-cached layout per degree. A spectrum is under either the plain normalization
-(forward sum as-is) or the unitary one, which scales each block by
-sqrt(d / n!) and turns the transform into an isometry.
+cached layout per degree, which FourierSpectrum.scaled reads to apply one
+factor per block. A spectrum is under either the plain normalization (forward
+sum as-is) or the unitary one, which scales each block by sqrt(d / n!) and
+turns the transform into an isometry.
 
 The forward and inverse transforms run Clausen's coset recursion along
 S_1 < S_2 < ... < S_n (M. Clausen, "Fast generalized Fourier transforms",
@@ -85,6 +86,11 @@ class FourierSpectrum:
         squares = self.values * self.values
         return {lam: float(np.add.reduce(squares[start:stop]))
                 for lam, start, stop, _ in _block_layout(self.n)}
+
+    def scaled(self, factors) -> FourierSpectrum:
+        """This spectrum with block lam times factors[i], lam the i-th partition."""
+        sizes = [d * d for *_, d in _block_layout(self.n)]
+        return FourierSpectrum(self.n, self.normalization, self.values * np.repeat(factors, sizes))
 
     def total_energy(self) -> float:
         return sum(self.energies().values())

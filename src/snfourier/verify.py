@@ -35,6 +35,7 @@ from .perms import (
     adjacent_update,
     all_one_lines,
     compose,
+    encode_batch,
     lehmer_decode,
     lehmer_encode,
     lehmer_rank,
@@ -87,7 +88,11 @@ def _check_lehmer_bijections(n_max, rng):
             if lehmer_rank(lehmer_encode(perm)) != rank:
                 return CheckResult(name, False, f"rank mismatch at n={n} rank={rank}")
             count += 1
-    return CheckResult(name, True, f"{count} ranks round-tripped, n <= {top}")
+        # the production ranker, behind the FFT gather, the prior and left shifts
+        wrong = np.flatnonzero(encode_batch(lines) != np.arange(math.factorial(n)))
+        if wrong.size:
+            return CheckResult(name, False, f"encode_batch mismatch at n={n} rank={wrong[0]}")
+    return CheckResult(name, True, f"{count} ranks round-tripped and batch-ranked, n <= {top}")
 
 
 def _check_adjacent_update(n_max, rng):
@@ -161,6 +166,7 @@ def _check_claim1(n_max, rng):
 
 def _check_claim2(n_max, rng):
     name = "claim 2: success lower bound"
+    slack = 1e-12  # how far a measured probability may fall below its bound
     trials = 0
     for n in range(2, n_max + 1):
         fact = math.factorial(n)
@@ -171,7 +177,7 @@ def _check_claim2(n_max, rng):
             step = DiffusionStep(p, d)
             _, measured = apply_diffusion_spectral(gft_forward(psi, "unitary"), step)
             bound = success_probability_lower_bound(n, p, d)
-            if bound.value is None or measured < bound.value - 1e-12:
+            if bound.value is None or measured < bound.value - slack:
                 return CheckResult(name, False, f"violated at n={n} p={p:.3f} d={d}")
             trials += 1
         for p in (Fraction(1, 3), Fraction(2, 5)):
@@ -181,7 +187,7 @@ def _check_claim2(n_max, rng):
             psi = np.sqrt(_random_probability(rng, fact))
             step = DiffusionStep(p)
             _, measured = apply_diffusion_spectral(gft_forward(psi, "unitary"), step)
-            if measured < bound.value - 1e-12:
+            if measured < bound.value - slack:
                 return CheckResult(name, False, f"violated at n={n} p={p}")
             trials += 1
     return CheckResult(name, True, f"{trials} dominance trials, zero violations")

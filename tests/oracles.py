@@ -9,7 +9,9 @@ generator_data_from_tableaux builds that data the naive way. The recursive
 transforms run the library's coset slabs level by level with fresh arrays,
 as the library did before it unrolled the recursion into a program, from
 the coset order that coset_order_gather builds the naive way; they pin the
-program's bits and its gather.
+program's bits and its gather. The diffusion oracles are the library's
+former routes: eigenvalues by integer ratios, and the kernel ranked one
+transposition at a time through the scalar Lehmer chain.
 """
 
 import itertools
@@ -19,9 +21,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from snfourier.diffusion import float_power
 from snfourier.errors import check_degree
-from snfourier.partitions import enumerate_partitions, irrep_dimension
-from snfourier.perms import Permutation
+from snfourier.partitions import enumerate_partitions, irrep_dimension, \
+    transposition_character_ratio
+from snfourier.perms import Permutation, lehmer_encode, lehmer_rank
 from snfourier.transform import NORMALIZATIONS, FourierSpectrum, function_degree
 from snfourier.yor import _generator_data, coset_slabs, irrep_stack, standard_tableaux
 
@@ -377,6 +381,34 @@ def convolve_oracle(q, h, n):
             acc += q[factorial_rank(inversion_digits(prod))] * h[t]
         out[s] = acc
     return out
+
+
+def integer_ratio_scales(step, n):
+    """c_lam^d per partition, c_lam rounded once from integer ratios.
+
+    With p = num/den and the character ratio a/b, c_lam is
+    (num b + (den - num) a) / (den b); int true division rounds correctly.
+    """
+    num, den = step.p.as_integer_ratio()
+    scales = {}
+    for lam in enumerate_partitions(n):
+        a, b = transposition_character_ratio(lam).as_integer_ratio()
+        scales[lam] = float(float_power((num * b + (den - num) * a) / (den * b), step.d))
+    return scales
+
+
+def transposition_loop_kernel(step, n):
+    """Rank-indexed kernel values: p at e, (1-p)/C(n,2) at each transposition
+    (i j), ranked one at a time."""
+    q = np.zeros(math.factorial(n))
+    p = float(step.p)
+    q[0] = p
+    weight = (1.0 - p) / math.comb(n, 2)
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        line = list(range(1, n + 1))
+        line[i - 1], line[j - 1] = j, i
+        q[lehmer_rank(lehmer_encode(Permutation(tuple(line))))] = weight
+    return q
 
 
 def coset_order_gather(n):

@@ -11,8 +11,8 @@ from snfourier.diffusion import DiffusionStep, _step_scales, apply_diffusion_bor
     apply_diffusion_spectral, float_power, kernel_as_function, \
     success_probability_lower_bound, success_probability_t0
 from snfourier.errors import AnnihilatedStateError, PlanValidationError
-from snfourier.partitions import Partition, diffusion_eigenvalue, \
-    enumerate_partitions, irrep_dimension
+from snfourier.partitions import diffusion_eigenvalue, enumerate_partitions, \
+    irrep_dimension
 from snfourier.transform import FourierSpectrum, convolve, delta_spectrum, \
     gft_forward, gft_inverse
 
@@ -26,14 +26,15 @@ def random_unit_state(n):
 @pytest.mark.parametrize("p", [0, 1, 0.7, Fraction(1, 3),
                                float(np.random.default_rng(71).random())])
 def test_step_scales_round_the_exact_eigenvalue_once(p):
-    # the integer-ratio eigenvalue keeps every bit of float(Fraction), signed zero too
+    # float(Fraction) keeps every bit of the integer-ratio rule, signed zero too
     for n in range(2, 10):
-        for d in (1, 2, 3, 37):
-            scales = _step_scales(DiffusionStep(p=p, d=d), n)
-            assert tuple(scales) == enumerate_partitions(n)
-            for lam, scale in scales.items():
-                exact = float_power(float(diffusion_eigenvalue(lam, p)), d)
-                assert scale.hex() == float(exact).hex()
+        for d in (1, 2, 3, 37, 2**60):
+            step = DiffusionStep(p=p, d=d)
+            scales = _step_scales(step, n)
+            assert type(scales) is tuple
+            expected = oracles.integer_ratio_scales(step, n)
+            assert list(expected) == list(enumerate_partitions(n))
+            assert [s.hex() for s in scales] == [s.hex() for s in expected.values()]
 
 
 def test_step_scales_are_cached_per_step_and_degree():
@@ -41,13 +42,20 @@ def test_step_scales_are_cached_per_step_and_degree():
         for n, d in ((4, 1), (6, 37), (9, 2)):
             step = DiffusionStep(p=p, d=d)
             first = _step_scales(step, n)
-            # an equal step built anew hits the cache, read-only
+            # an equal step built anew hits the cache; a tuple is read-only
             assert _step_scales(DiffusionStep(p=p, d=d), n) is first
-            with pytest.raises(TypeError):
-                first[Partition((n,))] = 0.0
+            assert type(first) is tuple
             fresh = _step_scales.__wrapped__(step, n)
-            assert list(first) == list(fresh)
-            assert [s.hex() for s in first.values()] == [s.hex() for s in fresh.values()]
+            assert [s.hex() for s in first] == [s.hex() for s in fresh]
+
+
+@pytest.mark.parametrize("p", [0, 0.3, 0.8, 1])
+def test_kernel_is_byte_equal_to_the_transposition_loop(p):
+    for n in range(2, 9):
+        step = DiffusionStep(p=p)
+        q = kernel_as_function(step, n)
+        expected = oracles.transposition_loop_kernel(step, n)
+        assert q.dtype == expected.dtype and q.tobytes() == expected.tobytes()
 
 
 def test_kernel_frozen_n3():

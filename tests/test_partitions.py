@@ -197,6 +197,19 @@ def test_kronecker_guard_and_mismatch():
         kronecker_multiplicity(big, big, big)
 
 
+def test_kronecker_rejects_a_class_sum_that_is_no_multiplicity(monkeypatch):
+    # chi = 2 at the identity and 0 elsewhere: the n = 3 class sum is 8/6; an
+    # exception, not an assert, so the check holds under python -O too
+    monkeypatch.setattr(snfourier.partitions, "character",
+                        lambda lam, ctype: 2 if ctype.parts == (1,) * ctype.weight else 0)
+    lam, mu, nu = Partition((3,)), Partition((2, 1)), Partition((1, 1, 1))
+    with pytest.raises(ArithmeticError) as err:
+        kronecker_multiplicity(lam, mu, nu)
+    assert err.type is ArithmeticError
+    assert str(err.value) == \
+        "class sum 8/6 for (3,), (2, 1), (1, 1, 1) is not a nonnegative integer"
+
+
 def test_kronecker_with_trivial_is_delta_at_the_degree_guard():
     triv, mu = Partition((9,)), Partition((4, 3, 2))
     for nu in enumerate_partitions(9):

@@ -110,6 +110,18 @@ def test_blocks_tile_values_in_canonical_order(n):
     assert start == math.factorial(n)
 
 
+@pytest.mark.parametrize("normalization", ["plain", "unitary"])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_scaled_multiplies_each_block_view(n, normalization):
+    spec = gft_forward(RNG.standard_normal(math.factorial(n)), normalization)
+    factors = RNG.standard_normal(len(enumerate_partitions(n)))
+    out = spec.scaled(factors)
+    assert out.normalization == normalization
+    assert not np.shares_memory(out.values, spec.values)
+    for factor, block, scaled in zip(factors, spec.blocks.values(), out.blocks.values()):
+        assert scaled.tobytes() == (block * factor).tobytes()
+
+
 def test_sampling_distribution_is_energy_over_total():
     h = RNG.standard_normal(24)
     spec = gft_forward(h, "unitary")
