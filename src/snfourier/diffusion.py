@@ -101,7 +101,7 @@ def apply_diffusion_spectral(
     """
     if spectrum.normalization != "unitary":
         raise ValueError("diffusion expects a unitary-normalized spectrum")
-    energies = spectrum.energies().values()
+    energies = spectrum.block_energies()
     check_unit_norm(sum(energies))
     scales = _step_scales(step, spectrum.n)
     p_s = sum(c ** 2 * e for c, e in zip(scales, energies))

@@ -68,7 +68,9 @@ def irrep_dimension(lam: Partition) -> int:
         for j in range(row):
             hooks *= (row - j) + (conj[j] - i) - 1
     dim, rem = divmod(math.factorial(lam.weight), hooks)
-    assert rem == 0
+    if rem:
+        raise ArithmeticError(f"hook product {hooks} of {lam.parts} does not divide "
+                              f"{lam.weight}!")
     return dim
 
 
@@ -106,7 +108,9 @@ def _class_size(n: int, cycle_type: tuple[int, ...]) -> int:
     for k, m in mult.items():
         denom *= k**m * math.factorial(m)
     size, rem = divmod(math.factorial(n), denom)
-    assert rem == 0
+    if rem:
+        raise ArithmeticError(f"centralizer order {denom} of cycle type {cycle_type} "
+                              f"does not divide {n}!")
     return size
 
 

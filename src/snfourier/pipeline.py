@@ -14,9 +14,10 @@ so they never move amplitude onto a new rank; only diffusion, a group
 convolution, spreads the state. run_plan therefore keeps the state as its
 amplitudes on the initial state's support (the prior's permutations, or the
 identity) until the first diffusion step, which scatters it into the dense
-n!-vector its transform needs; a plan with no diffusion scatters it once
-after its last conditioning step. Sharpening and the posterior read the
-dense vector.
+n!-vector its transform needs. Sharpening runs on the support until the
+first diffusion step too: a plan with no diffusion sharpens its support
+amplitudes and scatters them once, at the end. The posterior reads the dense
+vector.
 
 Sampling uses NumPy's default_rng (PCG64) with a 64-bit seed; the generator
 identity is part of the output contract, so seeded runs are reproducible
@@ -291,9 +292,10 @@ def run_plan(plan: ExperimentPlan) -> tuple[ModelState, RunReport]:
     """Execute all steps in order; returns the final state and its report.
 
     Until the first diffusion step the state is kept as its amplitudes on
-    the initial state's support, the only ranks conditioning can leave
-    nonzero; that step, or the end of the steps, scatters it into the dense
-    n!-vector.
+    the initial state's support, the only ranks conditioning and sharpening
+    can leave nonzero; that step, or the end of the plan, scatters it into
+    the dense n!-vector. So sharpening runs on the support when no diffusion
+    step ran, and on the dense vector otherwise.
     """
     support, amps = _initial_state(plan)
     lines = all_one_lines(plan.n)[support]
@@ -323,14 +325,14 @@ def run_plan(plan: ExperimentPlan) -> tuple[ModelState, RunReport]:
                 # the relabeling swaps, then as many to uncompute them
                 "swaps": 2 * cost.swaps,
             })
-    if support is not None:
-        amps = _scattered(math.factorial(plan.n), support, amps)
-    state = ModelState(amplitudes=amps, encoding=plan.encoding)
     if plan.sharpening is not None:
-        state, p_s = sharpen_map(state, plan.sharpening)
+        amps, p_s = sharpen_map(amps, plan.sharpening)
         ledger.append({"step": len(plan.steps) + 1, "type": "sharpen",
                        "m": int(plan.sharpening), "success_prob": min(p_s, 1.0),
                        "bound": min(p_s, 1.0)})
+    if support is not None:
+        amps = _scattered(math.factorial(plan.n), support, amps)
+    state = ModelState(amplitudes=amps, encoding=plan.encoding)
 
     p_total = math.prod((entry["success_prob"] for entry in ledger), start=1.0)
     bounds = [entry["bound"] for entry in ledger]
@@ -353,25 +355,23 @@ def run_plan(plan: ExperimentPlan) -> tuple[ModelState, RunReport]:
     return state, report
 
 
-def sharpen_map(state: ModelState, m: int) -> tuple[ModelState, float]:
-    """Entrywise power psi^m plus renormalization; returns (state, p_s).
+def sharpen_map(amplitudes: np.ndarray, m: int) -> tuple[np.ndarray, float]:
+    """Entrywise power psi^m plus renormalization; returns (amplitudes, p_s).
 
     Models the ideal polynomial filter: the success probability is the
     squared norm of the powered state. Monotone, so the argmax and any ties
-    survive at every exponent.
+    survive at every exponent. Pointwise, so any entries that hold all the
+    nonzero amplitudes, such as a state's support, sharpen like the whole.
     """
     if m < 1 or int(m) != m:
         raise ValueError(f"exponent must be a positive integer, got {m}")
     if m == 1:
-        p_s = 1.0
-        amps = state.amplitudes.copy()
-    else:
-        # an amplitude rounded past 1 would overflow under a large exponent
-        clipped = np.clip(state.amplitudes, -1.0, 1.0)
-        powered = float_power(clipped, m)
-        p_s = float(np.sum(np.multiply(powered, powered, out=clipped)))
-        amps = renormalized(powered, p_s, "sharpening")
-    return ModelState(amplitudes=amps, encoding=state.encoding), p_s
+        return amplitudes.copy(), 1.0
+    # an amplitude rounded past 1 would overflow under a large exponent
+    clipped = np.clip(amplitudes, -1.0, 1.0)
+    powered = float_power(clipped, m)
+    p_s = float(np.sum(np.multiply(powered, powered, out=clipped)))
+    return renormalized(powered, p_s, "sharpening"), p_s
 
 
 def sample_computational(state: ModelState, count: int, seed: int) -> np.ndarray:
@@ -384,7 +384,8 @@ def sample_computational(state: ModelState, count: int, seed: int) -> np.ndarray
     last-ulp rounding of the cdf, which is normalised here by its own last
     entry rather than by a sum over all n! squares.
     """
-    support = np.flatnonzero(state.amplitudes)
+    # one mask keeps flatnonzero's ranks: -0.0 out, subnormals and NaN in
+    support = np.flatnonzero(state.amplitudes != 0.0)
     cdf = state.amplitudes[support]
     cdf *= cdf
     np.cumsum(cdf, out=cdf)

@@ -76,16 +76,20 @@ class FourierSpectrum:
         return {lam: self.values[start:stop].reshape(d, d)
                 for lam, start, stop, d in _block_layout(self.n)}
 
-    def energies(self) -> dict[Partition, float]:
-        """Squared Frobenius norm per block, the Fourier-sampling weights.
+    def block_energies(self) -> list[float]:
+        """Squared Frobenius norm per block, partitions in canonical order.
 
         All squares are taken at once, then each block's are summed by one
         reduction over its contiguous slice: the pairwise sum np.sum(b * b)
         runs, so the weights keep their bits.
         """
         squares = self.values * self.values
-        return {lam: float(np.add.reduce(squares[start:stop]))
-                for lam, start, stop, _ in _block_layout(self.n)}
+        return [float(np.add.reduce(squares[start:stop]))
+                for _, start, stop, _ in _block_layout(self.n)]
+
+    def energies(self) -> dict[Partition, float]:
+        """The block energies keyed by partition, the Fourier-sampling weights."""
+        return dict(zip(enumerate_partitions(self.n), self.block_energies()))
 
     def scaled(self, factors) -> FourierSpectrum:
         """This spectrum with block lam times factors[i], lam the i-th partition."""
@@ -93,7 +97,7 @@ class FourierSpectrum:
         return FourierSpectrum(self.n, self.normalization, self.values * np.repeat(factors, sizes))
 
     def total_energy(self) -> float:
-        return sum(self.energies().values())
+        return sum(self.block_energies())
 
     def sampling_distribution(self) -> dict[Partition, float]:
         """Weak Fourier sampling: Pr(lam) = block energy / total energy.

@@ -409,9 +409,9 @@ def test_criterion_11_sharpening_monotone(acceptance):
         mode = int(np.argmax(amps))
         previous = float(amps[mode] ** 2)
         for m in range(1, 11):
-            out, _ = sharpen_map(state, m)
-            assert int(np.argmax(out.amplitudes)) == mode
-            mass = float(out.amplitudes[mode] ** 2)
+            out, _ = sharpen_map(state.amplitudes, m)
+            assert int(np.argmax(out)) == mode
+            mass = float(out[mode] ** 2)
             assert mass >= previous - 1e-12
             previous = mass
 

@@ -186,6 +186,24 @@ def test_run_annihilated_by_sharpening_exits_4(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_annihilated_by_sharpening_on_the_support_exits_4(tmp_path, capsys):
+    # no diffusion, so the 1000th powers are taken on the prior's four ranks;
+    # after the soft ranking each amplitude is at most 3**-0.5, and the
+    # squared norm of the powers underflows to 0
+    dataset = [{"one_line": line, "count": 1}
+               for line in ([1, 2, 3, 4], [2, 1, 3, 4], [1, 3, 2, 4], [4, 3, 2, 1])]
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({
+        "n": 4, "encoding": "born", "sharpening": 1000,
+        "initial": {"kind": "empirical", "dataset": dataset},
+        "steps": [{"type": "conditioning", "observation": {
+            "kind": "ranking", "items": [4, 1], "s": 0.6}}]}))
+    out = tmp_path / "o"
+    assert run_cli("run", "--plan", str(plan), "--out", str(out)) == 4
+    assert capsys.readouterr().err == "error: sharpening left no surviving amplitude\n"
+    assert not out.exists()
+
+
 def _long_hard_plan(rounds):
     steps = []
     for i in range(rounds):

@@ -86,8 +86,7 @@ POST_SELECTED = {
     # p = 1/2 zeroes the sign block, where the alternating state lives
     "apply_diffusion_spectral": lambda: apply_diffusion_spectral(
         _sign_spectrum(), DiffusionStep(p=0.5)),
-    "sharpen_map": lambda: sharpen_map(
-        ModelState(amplitudes=state_with_norm_sq(1.0), encoding="born"), 1000),
+    "sharpen_map": lambda: sharpen_map(state_with_norm_sq(1.0), 1000),
 }
 
 
@@ -109,8 +108,7 @@ def _read_only_state():
 ALIASING = {
     "bayes_update": lambda psi: bayes_update(psi, RANKING, "born")[0],
     "reorder_update_condition": lambda psi: reorder_update_condition(psi, RANKING)[0],
-    "sharpen_map": lambda psi: sharpen_map(
-        ModelState(amplitudes=psi, encoding="born"), 3)[0].amplitudes,
+    "sharpen_map": lambda psi: sharpen_map(psi, 3)[0],
 }
 
 

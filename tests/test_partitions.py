@@ -210,6 +210,14 @@ def test_kronecker_rejects_a_class_sum_that_is_no_multiplicity(monkeypatch):
         "class sum 8/6 for (3,), (2, 1), (1, 1, 1) is not a nonnegative integer"
 
 
+def test_class_size_rejects_a_cycle_type_that_is_no_class():
+    # (2, 2) is a cycle type of S_4, and its centralizer order 8 does not divide 3!
+    with pytest.raises(ArithmeticError) as err:
+        snfourier.partitions._class_size(3, (2, 2))
+    assert err.type is ArithmeticError
+    assert str(err.value) == "centralizer order 8 of cycle type (2, 2) does not divide 3!"
+
+
 def test_kronecker_with_trivial_is_delta_at_the_degree_guard():
     triv, mu = Partition((9,)), Partition((4, 3, 2))
     for nu in enumerate_partitions(9):

@@ -1,5 +1,6 @@
 """End-to-end plans: ledger, sampling, sharpening, block encoding."""
 
+import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -9,6 +10,7 @@ import pytest
 from scipy import stats
 
 import oracles
+import snfourier.pipeline
 from oracles import reorder_sequence
 from snfourier.cli import main
 from snfourier.conditioning import Observation, bayes_update
@@ -308,6 +310,46 @@ def test_support_route_equals_dense_bayes_chain(n, encoding):
                                              abs=0.0)
 
 
+@pytest.mark.parametrize("encoding", ["amplitude", "born"])
+@pytest.mark.parametrize("n", range(3, 8))
+def test_support_sharpening_matches_dense_sharpening(n, encoding):
+    # p_s is summed over the support rather than over all n! entries, so only
+    # its rounding, and the amplitudes divided by its root, may move
+    rng = np.random.default_rng(200 * n + len(encoding))
+    for _ in range(4):
+        plan = dataclasses.replace(_support_plan(n, encoding, rng),
+                                   sharpening=int(rng.integers(2, 7)))
+        unsharpened, _ = run_plan(dataclasses.replace(plan, sharpening=None))
+        expected, p_s = sharpen_map(unsharpened.amplitudes, plan.sharpening)
+        state, report = run_plan(plan)
+        np.testing.assert_array_max_ulp(state.amplitudes, expected, maxulp=4)
+        np.testing.assert_array_max_ulp(report.ledger[-1]["success_prob"],
+                                        min(p_s, 1.0), maxulp=4)
+
+
+def test_run_plan_sharpens_once_on_either_route(monkeypatch):
+    calls = []
+
+    def spy(amplitudes, m):
+        calls.append(len(amplitudes))
+        return sharpen_map(amplitudes, m)
+
+    monkeypatch.setattr(snfourier.pipeline, "sharpen_map", spy)
+    rng = np.random.default_rng(29)
+    for _ in range(6):
+        plan = dataclasses.replace(_support_plan(5, "born", rng), sharpening=3)
+        support = 1 if plan.initial == "identity" else len(plan.initial.support_counts()[0])
+        routes = {support: plan,
+                  120: dataclasses.replace(plan, steps=plan.steps + (DiffusionStep(0.7),))}
+        for length, routed in routes.items():
+            calls.clear()
+            run_plan(routed)
+            assert calls == [length]
+        calls.clear()
+        run_plan(dataclasses.replace(plan, sharpening=None))
+        assert calls == []
+
+
 def test_support_route_annihilation_message(tmp_path, capsys):
     plan = tmp_path / "plan.json"
     plan.write_text(
@@ -342,6 +384,21 @@ def test_sampler_draws_what_generator_choice_draws(kind):
         ranks = oracles.choice_ranks(state.amplitudes, 3000, seed)
         draws = sample_computational(state, 3000, seed)
         assert np.array_equal(draws, all_one_lines(state.n)[ranks])
+
+
+def test_sampler_skips_negative_zeros_and_keeps_subnormals():
+    # a subnormal amplitude squares to 0, so it adds nothing to the cdf, and
+    # neither does -0.0; the draws are choice's over all n! ranks either way
+    amps = np.zeros(120)
+    amps[[4, 30, 77, 119]] = [0.6, -0.48, 0.64, 0.0]
+    amps[[10, 31, 118]] = -0.0
+    amps[[11, 76]] = [5e-324, -2.0**-1030]
+    state = ModelState(amplitudes=amps, encoding="amplitude")
+    for seed in (0, 7, 2**63 + 5):
+        draws = sample_computational(state, 3000, seed)
+        ranks = oracles.choice_ranks(amps, 3000, seed)
+        assert np.array_equal(draws, all_one_lines(5)[ranks])
+        assert set(ranks.tolist()) == {4, 30, 77}
 
 
 def test_every_empirical_prior_is_built_on_its_support(monkeypatch):
@@ -523,16 +580,16 @@ def test_sharpen_identity_power():
     amps = np.abs(oracles.random_unit(RNG, 6))
     amps /= np.linalg.norm(amps)
     state = ModelState(amplitudes=amps, encoding="born")
-    out, ps = sharpen_map(state, 1)
+    out, ps = sharpen_map(state.amplitudes, 1)
     assert ps == 1.0
-    assert np.allclose(out.amplitudes, amps, atol=1e-15)
+    assert np.allclose(out, amps, atol=1e-15)
 
 
 def test_sharpen_two_point_worked_example():
     amps = np.zeros(6)
     amps[0], amps[1] = math.sqrt(0.8), math.sqrt(0.2)
-    out, ps = sharpen_map(ModelState(amplitudes=amps, encoding="born"), 2)
-    probs = out.amplitudes**2
+    out, ps = sharpen_map(amps, 2)
+    probs = out**2
     assert probs[0] == pytest.approx(0.8**2 / (0.8**2 + 0.2**2), abs=1e-12)
     assert probs[0] == pytest.approx(0.9411764705882353, abs=1e-10)
     assert ps == pytest.approx(np.sum(np.array([0.8, 0.2]) ** 2), abs=1e-12)
@@ -546,9 +603,9 @@ def test_sharpen_argmax_and_monotonicity():
         top = int(np.argmax(state.amplitudes))
         prev_mode_mass = 0.0
         for m in range(1, 11):
-            out, _ = sharpen_map(state, m)
-            assert int(np.argmax(out.amplitudes)) == top
-            mode_mass = float(out.amplitudes[top] ** 2)
+            out, _ = sharpen_map(state.amplitudes, m)
+            assert int(np.argmax(out)) == top
+            mode_mass = float(out[top] ** 2)
             assert mode_mass >= prev_mode_mass - 1e-12
             prev_mode_mass = mode_mass
 
@@ -556,16 +613,16 @@ def test_sharpen_argmax_and_monotonicity():
 def test_sharpen_preserves_ties():
     amps = np.zeros(6)
     amps[2] = amps[5] = 1.0 / math.sqrt(2.0)
-    out, _ = sharpen_map(ModelState(amplitudes=amps, encoding="born"), 5)
-    assert out.amplitudes[2] == pytest.approx(out.amplitudes[5], abs=1e-15)
+    out, _ = sharpen_map(amps, 5)
+    assert out[2] == pytest.approx(out[5], abs=1e-15)
 
 
 def test_sharpen_top_k_alignment():
     n = 4
     h = oracles.random_probability(RNG, 24)
     state = ModelState(amplitudes=np.sqrt(h), encoding="born")
-    out, _ = sharpen_map(state, 6)
-    sharp_probs = out.amplitudes**2
+    out, _ = sharpen_map(state.amplitudes, 6)
+    sharp_probs = out**2
     k = 3
     assert set(np.argsort(sharp_probs)[-k:]) == set(np.argsort(h)[-k:])
 
@@ -574,16 +631,16 @@ def test_sharpen_top_k_alignment():
 def test_sharpen_clips_an_amplitude_rounded_past_1(m):
     amps = np.zeros(2)
     amps[1] = -np.nextafter(1.0, 2.0)
-    out, ps = sharpen_map(ModelState(amplitudes=amps, encoding="amplitude"), m)
+    out, ps = sharpen_map(amps, m)
     assert ps == 1.0
-    assert np.array_equal(out.amplitudes, [0.0, -1.0 if m % 2 else 1.0])
+    assert np.array_equal(out, [0.0, -1.0 if m % 2 else 1.0])
 
 
 def test_sharpen_underflow_annihilates():
     state = ModelState(amplitudes=np.full(6, 1.0 / math.sqrt(6.0)),
                        encoding="born")
     with pytest.raises(AnnihilatedStateError):
-        sharpen_map(state, 1000)
+        sharpen_map(state.amplitudes, 1000)
 
 
 def test_model_state_validation():
@@ -632,7 +689,7 @@ INPUT_CHECKS = {
                           PlanValidationError, "steps[0]: unknown step 'walk'"),
     "amplification-delta": (lambda: amplification_cost(0.5, "fixed_point", delta=1.0),
                             ValueError, "tolerance must lie in (0, 1), got 1.0"),
-    "sharpen-exponent": (lambda: sharpen_map(delta_state(3), 0),
+    "sharpen-exponent": (lambda: sharpen_map(delta_state(3).amplitudes, 0),
                          ValueError, "exponent must be a positive integer, got 0"),
     "block-encoding-square": (lambda: verify_posterior_block_encoding(np.ones((6, 2))),
                               ValueError, "state preparation must be a square matrix"),

@@ -178,6 +178,7 @@ def test_program_is_bit_equal_to_the_recursion(n):
             assert list(blocks) == list(expected)
             assert all(np.array_equal(blocks[lam], b) for lam, b in expected.items())
             assert fast.energies() == {lam: float(np.sum(b * b)) for lam, b in expected.items()}
+            assert fast.block_energies() == [float(np.sum(b * b)) for b in expected.values()]
             rebuilt = oracles.spectrum_from_blocks(n, norm, blocks)
             assert np.array_equal(rebuilt.values, fast.values)
 
