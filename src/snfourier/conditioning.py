@@ -5,12 +5,12 @@ constrains the relative order of a chain of items (ranking, listed first to
 last). The likelihood is two-valued: s on consistent permutations, 1-s
 elsewhere, with s in (0.5, 1]; s = 1 is the hard projector.
 
-The update is the pointwise product of the likelihood with the state in the
-permutation basis, then post-selection, over one mask of consistent basis
-labels. One body, bayes_update, computes it for any values that line up with
-rows of the one-line table: a dense state reads the whole cached table, while
-run_plan passes a state kept on its prior's support together with that
-support's rows, so no step reads the other n! entries.
+The update builds the likelihood as one vector over a mask of consistent
+basis labels, multiplies it pointwise by the state in the permutation basis
+and post-selects. One body, bayes_update, computes it for any values that
+line up with rows of the one-line table: a dense state reads the whole cached
+table, while run_plan passes a state kept on its prior's support together
+with that support's rows, so no step reads the other n! entries.
 
 A circuit would evaluate the same predicate by right-translating the basis,
 sigma -> sigma*pi, so the touched items occupy the leading (or trailing)
@@ -113,21 +113,15 @@ def _consistent_mask(obs: Observation, lines: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _scaled(values, mask, weights, out) -> np.ndarray:
-    """values times the likelihood, weights[0] where mask holds, into out."""
-    np.multiply(values, weights[1], out=out)
-    return np.multiply(values, weights[0], out=out, where=mask)
-
-
 def bayes_update(
     state, obs: Observation, encoding: str = "amplitude", lines=None
 ) -> tuple[np.ndarray, float]:
     """Pointwise likelihood product and renormalization; returns (state, p_s).
 
     lines are the one-line table rows the state's values line up with; by
-    default the whole table, for a dense state. The state-length array it
-    returns is the only one it allocates: it takes the squares for p_s, then
-    the scaled values again, and is divided in place.
+    default the whole table, for a dense state. The likelihood vector is
+    built once, multiplied by the state in place, and divided in place by
+    the root of its squared sum p_s, so it is the array returned.
     """
     values = checked_state(state, encoding)
     if lines is None:
@@ -140,10 +134,10 @@ def bayes_update(
     weights = (obs.s, 1.0 - obs.s)
     if encoding == "born":
         weights = tuple(map(math.sqrt, weights))
-    mask = _consistent_mask(obs, lines)
-    out = _scaled(values, mask, weights, np.empty_like(values))
-    p_s = float(np.sum(np.multiply(out, out, out=out)))
-    return renormalized(_scaled(values, mask, weights, out), p_s, "conditioning"), p_s
+    scaled = np.where(_consistent_mask(obs, lines), *weights)
+    scaled *= values
+    p_s = float(np.sum(scaled * scaled))
+    return renormalized(scaled, p_s, "conditioning"), p_s
 
 
 def success_probability_conditioning(h, obs: Observation) -> float:

@@ -136,13 +136,12 @@ class EmpiricalInitial:
 
     def support_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """Sorted distinct ranks of the dataset and the total count of each."""
-        ranks = encode_batch([one_line for one_line, _ in self.entries])
-        totals: dict = {}
-        # in entry order, so a float sum past 2**53 rounds as it always has
-        for rank, (_, count) in zip(ranks.tolist(), self.entries):
-            totals[rank] = totals.get(rank, 0.0) + float(count)
-        support = sorted(totals)
-        return np.array(support, dtype=np.intp), np.array([totals[r] for r in support])
+        one_lines, counts = zip(*self.entries)
+        support, where = np.unique(encode_batch(one_lines), return_inverse=True)
+        totals = np.zeros(len(support))
+        # np.add.at adds in entry order, so a sum past 2**53 rounds as it always has
+        np.add.at(totals, where, np.array(counts, dtype=np.float64))
+        return support, totals
 
     # no library code calls this; perfbench/spans.py patches it by name
     def counts_vector(self, n: int) -> np.ndarray:

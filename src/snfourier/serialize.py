@@ -348,7 +348,10 @@ def spectrum_to_json(spectrum: FourierSpectrum) -> str:
 
 
 def function_from_csv(text: str) -> np.ndarray:
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    try:
+        rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    except csv.Error as err:  # e.g. a cell past the reader's field size limit
+        raise ValueError(f"unreadable CSV ({err})") from None
     if not rows or [cell.strip() for cell in rows[0]] != ["rank", "value"]:
         raise ValueError("expected a rank,value header")
     body = rows[1:]
@@ -529,7 +532,8 @@ def plan_from_json(text: str) -> ExperimentPlan:
     """Decode a plan document; errors name the offending field."""
     try:
         doc = json.loads(text)
-    except ValueError as err:  # also an integer literal beyond int's digit limit
+    # ValueError also covers an integer literal beyond int's digit limit
+    except (ValueError, RecursionError) as err:
         raise PlanValidationError("document", f"not valid JSON ({err})") from None
     if not isinstance(doc, dict):
         raise PlanValidationError("document", "plan must be a JSON object")

@@ -467,6 +467,33 @@ S3_CHARACTERS = {
 S3_CLASS_SIZES = {(1, 1, 1): 1, (2, 1): 3, (3,): 2}
 
 
+def two_pass_bayes_update(values, obs, encoding, lines):
+    """The Bayes update as the library once computed it: the likelihood
+    product written twice into one array, masked entries scaled by w(s),
+    the rest by w(1 - s), with w the square root under the Born encoding;
+    once to square and sum into p_s, then again to divide by its root. A
+    zero p_s returns None for the state, which nothing survived."""
+    values = np.asarray(values, dtype=np.float64)
+    if obs.is_empty:
+        return values.copy(), 1.0
+    mask = np.array([consistency_predicate(obs, Permutation(tuple(row))) for row in lines])
+    weights = (obs.s, 1.0 - obs.s)
+    if encoding == "born":
+        weights = tuple(map(math.sqrt, weights))
+
+    def scaled(out):
+        np.multiply(values, weights[1], out=out)
+        return np.multiply(values, weights[0], out=out, where=mask)
+
+    out = scaled(np.empty_like(values))
+    p_s = float(np.sum(np.multiply(out, out, out=out)))
+    if p_s == 0.0:
+        return None, p_s
+    out = scaled(out)
+    out /= np.sqrt(p_s)
+    return out, p_s
+
+
 def choice_ranks(amplitudes, count, seed):
     """Ranks Generator.choice draws over all n! ranks with Pr ~ amplitude^2."""
     probs = np.asarray(amplitudes, dtype=np.float64) ** 2

@@ -1,6 +1,9 @@
 """Command-line behavior: artifacts, exit codes, reproducibility."""
 
+import contextlib
+import copy
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -8,10 +11,13 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import snfourier
@@ -295,6 +301,67 @@ def test_run_with_huge_plan_integers_exits_cleanly(tmp_path, plan):
     assert done.returncode in (0, 2)
     assert len(done.stderr.splitlines()) == (done.returncode != 0)
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("command, name, text", [
+    ("run", "plan.json", "[" * 200_000),
+    ("spectrum", "h.csv", "rank,value\n0," + "1" * 200_000 + "\n"),
+], ids=["plan-nested-200000-deep", "csv-cell-of-200000-digits"])
+def test_malformed_input_past_a_reader_limit_exits_2(tmp_path, command, name, text):
+    (tmp_path / name).write_text(text)
+    flag = "--plan" if command == "run" else "--input"
+    done = _run_module(tmp_path, 2 << 30, command, flag, name, "--out", "out")
+    assert done.returncode == 2
+    assert len(done.stderr.splitlines()) == 1
+    assert "Traceback" not in done.stderr
+
+
+# a valid plan that touches every field, and the paths of the values a fuzzed
+# document replaces; () is the whole document
+PLAN_EVERY_FIELD = {
+    "n": 4, "encoding": "born", "seed": 3, "sharpening": 2,
+    "initial": {"kind": "empirical", "dataset": [
+        {"one_line": [2, 1, 3, 4], "count": 2}, {"one_line": [1, 2, 3, 4], "count": 1}]},
+    "steps": [{"type": "diffusion", "p": 0.5, "d": 2},
+              {"type": "conditioning",
+               "observation": {"kind": "ranking", "items": [1, 3], "s": 0.8}}],
+}
+FIELD_PATHS = [
+    (), ("n",), ("encoding",), ("seed",), ("sharpening",), ("amplitude_empirical_ok",),
+    ("initial",), ("initial", "kind"), ("initial", "dataset"), ("initial", "dataset", 0),
+    ("initial", "dataset", 0, "one_line"), ("initial", "dataset", 1, "count"),
+    ("steps",), ("steps", 0), ("steps", 0, "type"), ("steps", 0, "p"), ("steps", 0, "d"),
+    ("steps", 1, "observation"), ("steps", 1, "observation", "kind"),
+    ("steps", 1, "observation", "items"), ("steps", 1, "observation", "s"),
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(path=st.sampled_from(FIELD_PATHS), value=JSON_VALUES)
+def test_run_on_a_plan_with_one_arbitrary_field_exits_with_a_contract_code(path, value):
+    doc = copy.deepcopy(PLAN_EVERY_FIELD)
+    if path:
+        *head, last = path
+        parent = doc
+        for key in head:
+            parent = parent[key]
+        parent[last] = value
+    else:
+        doc = value
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(stderr), \
+            contextlib.redirect_stdout(io.StringIO()):
+        plan = Path(tmp) / "plan.json"
+        plan.write_text(json.dumps(doc))
+        code = main(["run", "--plan", str(plan), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3, 4)
+    assert len(stderr.getvalue().splitlines()) <= 1
 
 
 PLAN_N8 = {"n": 8, "seed": 8, "steps": [

@@ -153,6 +153,36 @@ def test_bayes_soft_likelihood_both_encodings():
         assert np.allclose(post, scaled / np.linalg.norm(scaled), atol=1e-12)
 
 
+@pytest.mark.parametrize("encoding", ["amplitude", "born"])
+@pytest.mark.parametrize("n, support", [(3, None), (5, None), (6, None), (6, 40), (8, 50)],
+                         ids=["n3-dense", "n5-dense", "n6-dense", "n6-support", "n8-support"])
+def test_bayes_update_matches_the_two_pass_formula_bit_for_bit(n, support, encoding):
+    rng = np.random.default_rng(n * 100 + (support or 0))
+    table = all_one_lines(n)
+    observations = [random_observation(n) for _ in range(12)] + [
+        Observation("assignment", s=0.8),
+        Observation("ranking", items=(n,), s=1.0),
+        Observation("assignment", indices=(1,), values=(int(rng.integers(1, n + 1)),)),
+        Observation("ranking", items=tuple(range(n, 0, -1)), s=0.7),
+    ]
+    for obs in observations:
+        if support is None:
+            lines, given = table, None
+        else:
+            lines = given = table[np.sort(rng.choice(len(table), support, replace=False))]
+        values = oracles.random_unit(rng, len(lines))
+        if encoding == "born":
+            values = np.abs(values)
+        expected, expected_p = oracles.two_pass_bayes_update(values, obs, encoding, lines)
+        if expected_p == 0.0:  # a hard observation no row of the support meets
+            with pytest.raises(AnnihilatedStateError):
+                bayes_update(values, obs, encoding, given)
+            continue
+        got, got_p = bayes_update(values, obs, encoding, given)
+        assert got_p == expected_p
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_bayes_annihilates_disjoint_support():
     psi = np.zeros(6)
     psi[5] = 1.0  # [3,2,1] puts item 1 at position 3
